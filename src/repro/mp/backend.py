@@ -37,52 +37,24 @@ a crashed worker *thread* takes):
 
 from __future__ import annotations
 
-import math
 import threading
-import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
+from dataclasses import asdict
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import CacheConfig
-from repro.core.octocache import OctoCacheMap
-from repro.kernels import validate_kernel
+from repro.memsight.report import MemoryReport
 from repro.mp import codec
 from repro.mp.supervisor import ShardProcessDied, ShardProcessSupervisor
-from repro.octree.key import VoxelKey, coord_to_key, key_to_coord
+from repro.octree.key import VoxelKey
 from repro.octree.merge import merge_tree
 from repro.octree.occupancy import OccupancyParams
-from repro.octree.rayquery import RayHit
 from repro.octree.serialize import tree_from_bytes
 from repro.octree.tree import OccupancyOctree
-from repro.resilience.faults import FaultPlan
 from repro.resilience.recovery import ShardCheckpoint
-from repro.sensor.pointcloud import PointCloud
-from repro.sensor.raycast import compute_ray_keys
-from repro.sensor.scaninsert import trace_scan, trace_scan_rt
-from repro.service.sharded_map import ShardedBatchRecord
-from repro.service.sharding import ShardRouter
-from repro.telemetry import get_tracer
+from repro.service.sharded_map import MapBackend
 from repro.telemetry.tracer import current_span_info
 
 __all__ = ["ProcessShardedMap"]
-
-#: ``recovery_source`` signature: shard id -> (checkpoint, journal tail).
-RecoverySource = Callable[
-    [int],
-    Tuple[Optional[ShardCheckpoint], List[List[Tuple[VoxelKey, bool]]]],
-]
-
-#: ``tenant_recovery_source`` signature: (tenant slot, shard id) ->
-#: (checkpoint, journal tail) for that tenant's shard pipeline.  The
-#: tenant registry installs this so a respawned process lazily regains
-#: every tenant's state, not just the default map's.
-TenantRecoverySource = Callable[
-    [int, int],
-    Tuple[Optional[ShardCheckpoint], List[List[Tuple[VoxelKey, bool]]]],
-]
-
-
-def _empty_recovery(shard_id: int):
-    return None, []
 
 
 def _wire_parent() -> int:
@@ -91,23 +63,19 @@ def _wire_parent() -> int:
     return info[0] if info else 0
 
 
-class ProcessShardedMap:
+class ProcessShardedMap(MapBackend):
     """A spatially sharded map whose shard pipelines live in processes.
 
-    Mirrors :class:`~repro.service.sharded_map.ShardedMap`'s public
-    surface (the service treats either as "the map"), plus the
-    process-specific seam the service wires up:
+    The process transport of
+    :class:`~repro.service.sharded_map.MapBackend`: each primitive is one
+    framed command to the worker hosting the shard (:meth:`_exchange`),
+    and the seams the base class declares inert act here —
+    ``recovery_source`` / ``tenant_recovery_source`` feed the lazy
+    sibling restore, ``relay_tracer`` receives relayed child telemetry
+    (default: this object's own tracer), :meth:`kill_shard_process` is
+    the chaos hook.
 
-    - ``recovery_source``: callable giving a shard's checkpoint +
-      journal tail for lazy sibling restore (the service points it at
-      ``CheckpointStore.recovery_state``);
-    - ``relay_tracer``: where relayed child spans/counters are replayed
-      (the service points it at its always-on tracer so ``/metrics``
-      sees child work; defaults to this object's own tracer);
-    - :meth:`kill_shard_process` / :meth:`restore_shard`: the chaos and
-      recovery hooks.
-
-    Args mirror ``ShardedMap``; the extras:
+    Args mirror ``MapBackend``; the extras:
         num_procs: worker process count (default one per shard); shards
             are assigned round-robin.
         start_method: ``multiprocessing`` start method override.
@@ -123,37 +91,13 @@ class ProcessShardedMap:
         cache_config: Optional[CacheConfig] = None,
         rt: bool = False,
         kernel: str = "scalar",
-        pipeline_cls: Type[OctoCacheMap] = OctoCacheMap,
-        prefix_levels: Optional[int] = None,
         num_procs: Optional[int] = None,
         start_method: Optional[str] = None,
     ) -> None:
-        if pipeline_cls is not OctoCacheMap:
-            raise ValueError(
-                "the process backend builds its pipelines in child "
-                "processes and supports only OctoCacheMap shards"
-            )
-        validate_kernel(kernel)
-        self.resolution = resolution
-        self.depth = depth
-        self.max_range = max_range
-        self.rt = rt
-        self.kernel = kernel
-        self.router = ShardRouter(num_shards, depth, prefix_levels)
-        self.params = params or OccupancyParams()
-        self._cache_config = cache_config
-        self.records: List[ShardedBatchRecord] = []
-        self.tracer = get_tracer()
-        #: Where relayed child telemetry is replayed; the service points
-        #: this at its always-on tracer (registry + forward sinks).
-        self.relay_tracer = None
-        #: Checkpoint + journal-tail provider for lazy sibling restore.
-        self.recovery_source: RecoverySource = _empty_recovery
-        #: Same, but per tenant slot (installed by the tenant registry;
-        #: ``None`` means tenant pipelines respawn empty until their
-        #: registry drives an absolute restore).
-        self.tenant_recovery_source: Optional[TenantRecoverySource] = None
-        self.fault_plan = FaultPlan()
+        super().__init__(
+            resolution, depth, num_shards, params, max_range, cache_config,
+            rt, kernel,
+        )
         self.supervisor = ShardProcessSupervisor(
             num_shards=num_shards,
             num_procs=num_procs,
@@ -162,15 +106,10 @@ class ProcessShardedMap:
         )
         self.supervisor.start()
         self.supervisor.start_heartbeat(on_death=self._on_process_death)
-        self._locks: List[threading.RLock] = [
-            threading.RLock() for _ in range(num_shards)
-        ]
         #: Journal entries confirmed applied per ``(shard, tenant)`` —
         #: the replay horizon for lazy sibling restore (see module
         #: docstring).  Tenant slot 0 is the default single-tenant map.
-        self._applied: Dict[Tuple[int, int], int] = {
-            (shard, 0): 0 for shard in range(num_shards)
-        }
+        self._applied: Dict[Tuple[int, int], int] = {}
         #: Process generation each ``(shard, tenant)`` pipeline's state
         #: was last installed into; a respawn bumps the generation, so
         #: the next touch of each slot notices and lazily restores it.
@@ -188,39 +127,15 @@ class ProcessShardedMap:
         self._closed = False
 
     def _worker_config(self) -> Dict[str, Any]:
-        params = self.params
-        config: Dict[str, Any] = {
-            "resolution": self.resolution,
-            "depth": self.depth,
-            "max_range": self.max_range,
-            "kernel": self.kernel,
-            "params": {
-                "threshold": params.threshold,
-                "delta_occupied": params.delta_occupied,
-                "delta_free": params.delta_free,
-                "min_occ": params.min_occ,
-                "max_occ": params.max_occ,
-            },
-        }
-        if self._cache_config is not None:
-            config["cache_config"] = {
-                "num_buckets": self._cache_config.num_buckets,
-                "bucket_threshold": self._cache_config.bucket_threshold,
-                "use_morton_indexing": self._cache_config.use_morton_indexing,
-            }
+        """The pipeline shape, JSON-able, for the workers' ``ShardSlots``."""
+        config = dict(self._shape, params=asdict(self.params))
+        if config["cache_config"] is not None:
+            config["cache_config"] = asdict(config["cache_config"])
         return config
-
-    @property
-    def num_shards(self) -> int:
-        return self.router.num_shards
 
     @property
     def num_procs(self) -> int:
         return self.supervisor.num_procs
-
-    def shard_lock(self, shard_id: int) -> threading.RLock:
-        """The lock guarding one shard (exposed for the service layer)."""
-        return self._locks[shard_id]
 
     # ------------------------------------------------------------------
     # Telemetry relay.
@@ -302,31 +217,34 @@ class ProcessShardedMap:
             return
         if tenant == 0:
             checkpoint, tail = self.recovery_source(shard_id)
-        elif self.tenant_recovery_source is not None:
-            checkpoint, tail = self.tenant_recovery_source(tenant, shard_id)
         else:
-            checkpoint, tail = None, []
+            checkpoint, tail = self.tenant_recovery_source(tenant, shard_id)
         upto = checkpoint.upto if checkpoint is not None else 0
-        blob = checkpoint.blob if checkpoint is not None else None
         # Replay only what this slot had *applied*: the journal gains
         # an entry before its apply, and an in-flight entry belongs to
         # the service's own restore (full tail), not the lazy one.
-        replay = tail[: max(0, self._applied.get(slot, 0) - upto)]
-        if blob is not None or replay or self._applied.get(slot, 0):
-            self._send_restore(shard_id, blob, upto, replay, tenant=tenant)
-        # A brand-new slot with nothing to install skips the round trip:
-        # the worker creates the empty pipeline lazily on first command.
-        self._applied[slot] = upto + len(replay)
-        self._restored_gen[slot] = generation
+        applied = self._applied.get(slot, 0)
+        replay = tail[: max(0, applied - upto)]
+        if checkpoint is not None or replay or applied:
+            self._install(shard_id, checkpoint, replay, tenant, generation)
+        else:
+            # A brand-new slot with nothing to install skips the round
+            # trip: the worker creates the empty pipeline lazily.
+            self._applied[slot] = 0
+            self._restored_gen[slot] = generation
 
-    def _send_restore(
+    def _install(
         self,
         shard_id: int,
-        blob: Optional[bytes],
-        upto: int,
+        checkpoint: Optional[ShardCheckpoint],
         batches: Sequence[Sequence[Tuple[VoxelKey, bool]]],
-        tenant: int = 0,
+        tenant: int,
+        generation: int,
     ) -> None:
+        """One ``RESTORE`` command: the worker replaces the slot's whole
+        pipeline with checkpoint + replayed batches (lock held)."""
+        upto = checkpoint.upto if checkpoint is not None else 0
+        blob = checkpoint.blob if checkpoint is not None else None
         reply = self.supervisor.request(
             shard_id,
             codec.MSG_RESTORE,
@@ -336,6 +254,8 @@ class ProcessShardedMap:
         )
         _body, events = codec.decode_reply(reply.payload)
         self._replay(events)
+        self._applied[(shard_id, tenant)] = upto + len(batches)
+        self._restored_gen[(shard_id, tenant)] = generation
 
     def _exchange(
         self,
@@ -343,65 +263,39 @@ class ProcessShardedMap:
         msg_type: int,
         payload: bytes = b"",
         tenant: int = 0,
+        respawn: bool = True,
     ) -> bytes:
-        """Ready-the-slot + one request; returns the reply body.
-
-        Caller holds the shard lock.  Relayed telemetry is replayed
-        before returning.
-        """
-        self._ensure_ready(shard_id, tenant=tenant)
-        reply = self.supervisor.request(
-            shard_id,
-            msg_type,
-            payload,
-            parent_span=_wire_parent(),
-            tenant=tenant,
-        )
-        body, events = codec.decode_reply(reply.payload)
-        self._replay(events)
+        """Ready-the-slot + one request under the shard lock (re-entrant);
+        returns the reply body, relayed telemetry already replayed."""
+        with self._locks[shard_id]:
+            self._ensure_ready(shard_id, respawn=respawn, tenant=tenant)
+            reply = self.supervisor.request(
+                shard_id,
+                msg_type,
+                payload,
+                parent_span=_wire_parent(),
+                tenant=tenant,
+            )
+            body, events = codec.decode_reply(reply.payload)
+            self._replay(events)
         return body
+
+    def _read(
+        self, shard_id: int, msg_type: int, payload: bytes = b"", tenant: int = 0
+    ) -> Optional[bytes]:
+        """A read-path :meth:`_exchange`: never respawns, and answers
+        ``None`` for a dead process — so each caller degrades (unknown,
+        nothing, cached) instead of raising."""
+        try:
+            return self._exchange(
+                shard_id, msg_type, payload, tenant, respawn=False
+            )
+        except ShardProcessDied:
+            return None
 
     # ------------------------------------------------------------------
     # Update path.
     # ------------------------------------------------------------------
-
-    def insert_point_cloud(
-        self,
-        points,
-        origin: Tuple[float, float, float] = (0.0, 0.0, 0.0),
-    ) -> ShardedBatchRecord:
-        """Trace one scan (in the parent) and apply it across shards."""
-        if isinstance(points, PointCloud):
-            cloud = points
-        else:
-            cloud = PointCloud(points, origin)
-        tracer = trace_scan_rt if self.rt else trace_scan
-        start = time.perf_counter()
-        batch = tracer(
-            cloud,
-            self.resolution,
-            self.depth,
-            max_range=self.max_range,
-            kernel=self.kernel,
-        )
-        elapsed = time.perf_counter() - start
-        return self.insert_observations(batch.observations, ray_tracing=elapsed)
-
-    def insert_observations(
-        self,
-        observations: Sequence[Tuple[VoxelKey, bool]],
-        ray_tracing: float = 0.0,
-    ) -> ShardedBatchRecord:
-        """Partition pre-traced observations and apply each shard's slice."""
-        record = ShardedBatchRecord(
-            observations=len(observations), ray_tracing=ray_tracing
-        )
-        for shard_id, part in enumerate(self.router.partition(observations)):
-            if not part:
-                continue
-            record.shard_busy[shard_id] = self.apply_to_shard(shard_id, part)
-        self.records.append(record)
-        return record
 
     def apply_to_shard(
         self,
@@ -416,8 +310,6 @@ class ProcessShardedMap:
         where multi-core speedup comes from.  Raises
         :class:`ShardProcessDied` into the service's existing
         ``InjectedCrash`` recovery path when the process is gone.
-        ``tenant`` selects which of the shard's per-tenant pipelines the
-        batch lands in (0 = the default map).
         """
         if self.fault_plan.check("octree.update", shard=shard_id) == "drop":
             return 0.0
@@ -442,19 +334,9 @@ class ProcessShardedMap:
         self._replay(events)
         return codec.decode_busy_seconds(body)
 
-    def finalize(self) -> None:
-        """Flush every live shard's cache into its octree (best effort)."""
-        for shard_id in range(self.num_shards):
-            try:
-                with self._locks[shard_id]:
-                    self._ensure_ready(shard_id, respawn=False)
-                    reply = self.supervisor.request(
-                        shard_id, codec.MSG_FINALIZE, parent_span=_wire_parent()
-                    )
-                    _body, events = codec.decode_reply(reply.payload)
-                self._replay(events)
-            except ShardProcessDied:
-                continue
+    def _finalize_shard(self, shard_id: int) -> None:
+        # Best effort: a dead process holds nothing to flush.
+        self._read(shard_id, codec.MSG_FINALIZE)
 
     def close(self) -> None:
         """Finalize live shards, then shut every worker process down.
@@ -472,12 +354,6 @@ class ProcessShardedMap:
             pass
         self.supervisor.close()
 
-    def __enter__(self) -> "ProcessShardedMap":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
     # ------------------------------------------------------------------
     # Crash / recovery hooks (the service's seam).
     # ------------------------------------------------------------------
@@ -493,363 +369,108 @@ class ProcessShardedMap:
         tail: Sequence[Sequence[Tuple[VoxelKey, bool]]],
         tenant: int = 0,
     ) -> None:
-        """Service-driven exact restore: checkpoint + *full* journal tail.
+        """Service-driven exact restore: one ``RESTORE`` command.
 
         Unlike the lazy sibling restore, the tail here includes the
-        entry that was in flight when the process died — rebuilding is
-        absolute (the child replaces the whole pipeline), so repeated
-        restores never double-apply.  With ``tenant`` set this is also
-        the tenant lifecycle's restore-after-evict path.
+        entry that was in flight when the process died — the child
+        replaces the whole pipeline, so that is safe to repeat.
         """
         with self._locks[shard_id]:
             generation = self.supervisor.ensure_alive(shard_id)
-            upto = checkpoint.upto if checkpoint is not None else 0
-            blob = checkpoint.blob if checkpoint is not None else None
-            self._send_restore(shard_id, blob, upto, list(tail), tenant=tenant)
-            slot = (shard_id, tenant)
-            self._applied[slot] = upto + len(tail)
-            self._restored_gen[slot] = generation
+            self._install(shard_id, checkpoint, list(tail), tenant, generation)
 
-    def drop_tenant(self, tenant: int) -> None:
-        """Free one tenant's pipelines on every shard (eviction).
-
-        Dead processes are skipped — they hold no state to free, and the
-        slot bookkeeping is cleared either way so a later re-create
-        starts from a blank horizon.
-        """
-        if tenant == 0:
-            raise ValueError("tenant slot 0 (the default map) cannot be dropped")
-        for shard_id in range(self.num_shards):
-            with self._locks[shard_id]:
-                slot = (shard_id, tenant)
-                try:
-                    if self.supervisor.alive(shard_id):
-                        reply = self.supervisor.request(
-                            shard_id,
-                            codec.MSG_DROP_TENANT,
-                            parent_span=_wire_parent(),
-                            tenant=tenant,
-                        )
-                        _body, events = codec.decode_reply(reply.payload)
-                        self._replay(events)
-                except ShardProcessDied:
-                    pass
-                self._applied.pop(slot, None)
-                self._restored_gen.pop(slot, None)
-                # Live workers relay the removal themselves; dead ones
-                # can't, so drop the cached attribution explicitly.
-                with self._mem_lock:
-                    self._mem_slots.pop(slot, None)
+    def _drop_slot(self, shard_id: int, tenant: int) -> None:
+        # A dead process is skipped — it holds no state to free — and
+        # the slot bookkeeping is cleared either way so a later
+        # re-create starts from a blank horizon.
+        self._read(shard_id, codec.MSG_DROP_TENANT, tenant=tenant)
+        slot = (shard_id, tenant)
+        self._applied.pop(slot, None)
+        self._restored_gen.pop(slot, None)
+        # Live workers relay the removal themselves; dead ones can't,
+        # so drop the cached attribution explicitly.
+        with self._mem_lock:
+            self._mem_slots.pop(slot, None)
 
     # ------------------------------------------------------------------
-    # Query path.
+    # Query path: a dead shard degrades to "unknown" / "nothing".
     # ------------------------------------------------------------------
-
-    def _key_of(self, coord: Tuple[float, float, float]) -> VoxelKey:
-        return coord_to_key(coord, self.resolution, self.depth)
-
-    def _coord_of(self, key: VoxelKey) -> Tuple[float, float, float]:
-        return key_to_coord(key, self.resolution, self.depth)
-
-    def _query_shard(
-        self, shard_id: int, keys: Sequence[VoxelKey], tenant: int = 0
-    ) -> List[Optional[float]]:
-        """Batched point queries against one shard; dead -> all unknown."""
-        try:
-            with self._locks[shard_id]:
-                self._ensure_ready(shard_id, respawn=False, tenant=tenant)
-                reply = self.supervisor.request(
-                    shard_id,
-                    codec.MSG_QUERY_MANY,
-                    codec.encode_keys(keys),
-                    parent_span=_wire_parent(),
-                    tenant=tenant,
-                )
-                body, events = codec.decode_reply(reply.payload)
-        except ShardProcessDied:
-            return [None] * len(keys)
-        self._replay(events)
-        return codec.decode_values(body)
 
     def query_keys_in_shard(
         self, shard_id: int, keys: Sequence[VoxelKey], tenant: int = 0
     ) -> List[Optional[float]]:
-        """Point-query keys already routed to one shard (tenant-aware).
+        """One ``QUERY_MANY`` round trip; a dead shard is all unknown."""
+        body = self._read(
+            shard_id, codec.MSG_QUERY_MANY, codec.encode_keys(keys), tenant
+        )
+        if body is None:
+            return [None] * len(keys)
+        return codec.decode_values(body)
 
-        The tenant layer routes with per-tenant salted routers, so it
-        cannot use :meth:`query_keys` (which routes with the default
-        router); it pre-partitions and asks each shard directly.
-        """
-        return self._query_shard(shard_id, keys, tenant=tenant)
-
-    def query_keys(
-        self, keys: Sequence[VoxelKey]
-    ) -> Dict[VoxelKey, Optional[float]]:
-        """Point-query many keys with one IPC round trip per shard."""
-        by_shard: Dict[int, List[VoxelKey]] = {}
-        for key in keys:
-            by_shard.setdefault(self.router.shard_of(key), []).append(key)
-        answers: Dict[VoxelKey, Optional[float]] = {}
-        for shard_id, shard_keys in by_shard.items():
-            values = self._query_shard(shard_id, shard_keys)
-            answers.update(zip(shard_keys, values))
-        return answers
-
-    def query_key(self, key: VoxelKey) -> Optional[float]:
-        """Log-odds occupancy for ``key`` (``None`` = unknown)."""
-        shard_id = self.router.shard_of(key)
-        return self._query_shard(shard_id, [key])[0]
-
-    def query(self, coord: Tuple[float, float, float]) -> Optional[float]:
-        """Log-odds occupancy at a metric coordinate."""
-        return self.query_key(self._key_of(coord))
-
-    def is_occupied(self, coord: Tuple[float, float, float]) -> Optional[bool]:
-        """Occupancy decision at a metric coordinate (``None`` = unknown)."""
-        value = self.query(coord)
-        if value is None:
-            return None
-        return self.params.is_occupied(value)
-
-    def cast_ray(
-        self,
-        origin: Tuple[float, float, float],
-        direction: Tuple[float, float, float],
-        max_range: float,
-        ignore_unknown: bool = True,
-    ) -> RayHit:
-        """Walk the map along a ray (same semantics as ``ShardedMap``).
-
-        The visited keys are computed in the parent and answered with
-        one batched query per shard, then walked in order — the same
-        cache-then-octree consistent read, minus per-voxel IPC.
-        """
-        norm = math.sqrt(sum(c * c for c in direction))
-        if norm == 0.0:
-            raise ValueError("direction must be non-zero")
-        unit = tuple(c / norm for c in direction)
-        half = self.resolution * (1 << (self.depth - 1))
-        margin = self.resolution * 1e-3
-        travel = max_range
-        for o, d in zip(origin, unit):
-            if d > 0:
-                travel = min(travel, (half - margin - o) / d)
-            elif d < 0:
-                travel = min(travel, (-half + margin - o) / d)
-        travel = max(travel, 0.0)
-        endpoint = tuple(o + d * travel for o, d in zip(origin, unit))
-        keys = compute_ray_keys(origin, endpoint, self.resolution, self.depth)
-        keys.append(self._key_of(endpoint))
+    def _values_along(self, keys: List[VoxelKey]) -> Iterable[Optional[float]]:
+        # One batched query per shard the ray crosses, not one round
+        # trip per voxel.
         answers = self.query_keys(keys)
-        last: Optional[VoxelKey] = None
-        for key in keys:
-            value = answers.get(key)
-            if value is None:
-                if not ignore_unknown:
-                    return RayHit(
-                        hit=False,
-                        key=key,
-                        endpoint=self._coord_of(key),
-                        blocked_by_unknown=True,
-                    )
-            elif self.params.is_occupied(value):
-                return RayHit(hit=True, key=key, endpoint=self._coord_of(key))
-            last = key
-        if last is None:
-            return RayHit(hit=False, key=None, endpoint=None)
-        return RayHit(hit=False, key=last, endpoint=self._coord_of(last))
+        return [answers[key] for key in keys]
 
-    def occupied_in_box(
-        self,
-        min_coord: Tuple[float, float, float],
-        max_coord: Tuple[float, float, float],
+    def _box_in_shard(
+        self, shard_id: int, min_key: VoxelKey, max_key: VoxelKey
     ) -> List[VoxelKey]:
-        """Occupied finest-level keys inside an inclusive metric box.
-
-        Each shard answers in its own process (octree walk + resident
-        cache overlay, same rule as ``ShardedMap``); a dead shard
-        contributes nothing, matching the point-query degradation.
-        """
-        min_key = self._key_of(min_coord)
-        max_key = self._key_of(max_coord)
-        for axis in range(3):
-            if min_key[axis] > max_key[axis]:
-                raise ValueError(f"min_coord exceeds max_coord on axis {axis}")
-        payload = codec.encode_keys([min_key, max_key])
-        occupied: List[VoxelKey] = []
-        for shard_id in range(self.num_shards):
-            try:
-                with self._locks[shard_id]:
-                    self._ensure_ready(shard_id, respawn=False)
-                    reply = self.supervisor.request(
-                        shard_id,
-                        codec.MSG_BOX_QUERY,
-                        payload,
-                        parent_span=_wire_parent(),
-                    )
-                    body, events = codec.decode_reply(reply.payload)
-            except ShardProcessDied:
-                continue
-            self._replay(events)
-            occupied.extend(codec.decode_keys(body))
-        return sorted(occupied)
+        body = self._read(
+            shard_id, codec.MSG_BOX_QUERY, codec.encode_keys([min_key, max_key])
+        )
+        return [] if body is None else codec.decode_keys(body)
 
     # ------------------------------------------------------------------
-    # Global snapshot export.
+    # Snapshot export and introspection.
     # ------------------------------------------------------------------
 
     def shard_snapshot_blob(self, shard_id: int, tenant: int = 0) -> bytes:
-        """One shard slot's authoritative tree as serialize-v2 bytes.
+        """The child exports the blob (octree merged with its cache
+        overlay): no decode/encode round trip in the parent."""
+        return self._exchange(shard_id, codec.MSG_SNAPSHOT, tenant=tenant)
 
-        The child exports it (octree merged with its cache overlay) —
-        this is the payload crash-recovery checkpoints (and tenant
-        persist/evict snapshots) store verbatim.
-        """
-        with self._locks[shard_id]:
-            return self._exchange(shard_id, codec.MSG_SNAPSHOT, tenant=tenant)
-
-    def shard_snapshot_tree(
-        self, shard_id: int, tenant: int = 0
-    ) -> OccupancyOctree:
-        """One shard slot's authoritative tree: octree + cache overlay."""
-        return tree_from_bytes(self.shard_snapshot_blob(shard_id, tenant))
-
-    def snapshot(self) -> OccupancyOctree:
-        """Export one octree holding the whole map's current answers.
-
-        Per-shard blobs are exported in the children and combined here
-        with :func:`merge_tree` (shards are disjoint, so the union is
-        exact) — bit-for-bit what the thread backend's snapshot holds
-        for the same accepted batches.
-        """
-        snapshot = OccupancyOctree(
-            resolution=self.resolution, depth=self.depth, params=self.params
-        )
-        for shard_id in range(self.num_shards):
-            merge_tree(
-                snapshot, self.shard_snapshot_tree(shard_id), strategy="overwrite"
-            )
-        return snapshot
-
-    # ------------------------------------------------------------------
-    # Introspection.
-    # ------------------------------------------------------------------
+    def _merge_shard_into(
+        self, tree: OccupancyOctree, shard_id: int, tenant: int
+    ) -> None:
+        blob = self.shard_snapshot_blob(shard_id, tenant)
+        merge_tree(tree, tree_from_bytes(blob), strategy="overwrite")
 
     def shard_stats(self, shard_id: int) -> Dict[str, Any]:
-        """One shard's pipeline stats, fetched from its process."""
-        with self._locks[shard_id]:
-            return codec.decode_json(self._exchange(shard_id, codec.MSG_STATS))
+        """The default slot's stats, fetched from its process."""
+        return codec.decode_json(self._exchange(shard_id, codec.MSG_STATS))
 
-    def memory_breakdown(self, exact: bool = False, deep: bool = False):
-        """Per-shard, per-tenant-slot footprint (``MemoryMeter``).
-
-        The default assembles the rollups each worker relayed with its
-        last reply — zero IPC, current as of the last applied batch.
-        ``exact`` (or ``deep``) asks every live shard's process to
-        recount by walking its storage (one ``MEM`` round trip per
-        shard); a dead process falls back to its cached rollup.
-        """
-        from repro.memsight.report import MemoryReport
-
+    def _slot_memory(
+        self, shard_id: int, exact: bool = False, deep: bool = False
+    ) -> Dict[int, MemoryReport]:
+        """From the rollups the worker relayed with its last reply —
+        zero IPC, current as of the last applied batch.  ``exact`` (or
+        ``deep``) asks the live process to recount by walking its
+        storage (one ``MEM`` round trip); a dead process falls back to
+        its cached rollups."""
         with self._mem_lock:
-            cached = dict(self._mem_slots)
-        shards = []
-        for shard_id in range(self.num_shards):
-            slots: Optional[Dict[str, Any]] = None
-            if exact or deep:
-                try:
-                    slots = self._fetch_mem(shard_id, exact, deep)
-                except ShardProcessDied:
-                    slots = None
-            elif (shard_id, 0) not in cached:
-                # No rollup relayed yet (nothing applied to this shard):
-                # seed the cache with one round trip so incremental and
-                # exact reports agree on untouched shards too.
-                try:
-                    slots = self._fetch_mem(shard_id, False, False)
+            slots: Dict[Any, Dict[str, Any]] = {
+                tenant: report
+                for (sid, tenant), report in self._mem_slots.items()
+                if sid == shard_id
+            }
+        # No rollup relayed yet (nothing applied to this shard) also
+        # costs one round trip, so incremental and exact reports agree
+        # on untouched shards too; it seeds the cache.
+        if exact or deep or 0 not in slots:
+            body = self._read(
+                shard_id,
+                codec.MSG_MEM,
+                codec.encode_json({"exact": exact, "deep": deep}),
+            )
+            if body is not None:
+                slots = codec.decode_json(body)["slots"]
+                if not (exact or deep):
                     with self._mem_lock:
                         for tenant, report in slots.items():
                             slot = (shard_id, int(tenant))
                             self._mem_slots.setdefault(slot, report)
-                except ShardProcessDied:
-                    slots = None
-            if slots is not None:
-                slot_reports = [
-                    MemoryReport.from_dict(slots[tenant])
-                    for tenant in sorted(slots, key=int)
-                ]
-            else:
-                slot_reports = [
-                    MemoryReport.from_dict(cached[(sid, tenant)])
-                    for sid, tenant in sorted(cached)
-                    if sid == shard_id
-                ]
-            shards.append(
-                MemoryReport(f"shard{shard_id}", children=slot_reports)
-            )
-        return MemoryReport("map", children=shards)
-
-    def _fetch_mem(
-        self, shard_id: int, exact: bool, deep: bool
-    ) -> Dict[str, Any]:
-        """One ``MEM`` round trip: every slot's breakdown for a shard."""
-        payload = codec.encode_json({"exact": exact, "deep": deep})
-        with self._locks[shard_id]:
-            self._ensure_ready(shard_id, respawn=False)
-            reply = self.supervisor.request(
-                shard_id,
-                codec.MSG_MEM,
-                payload,
-                parent_span=_wire_parent(),
-            )
-            body, events = codec.decode_reply(reply.payload)
-        self._replay(events)
-        return codec.decode_json(body)["slots"]
-
-    def tenant_memory_bytes(self) -> Dict[int, int]:
-        """Attributed bytes per tenant slot, from the relayed rollups.
-
-        Slot 0 is the default single-tenant map.  Mirrors
-        :meth:`ShardedMap.tenant_memory_bytes` so the service's
-        attribution path is backend-agnostic.
-        """
-        with self._mem_lock:
-            cached = dict(self._mem_slots)
-        totals: Dict[int, int] = {}
-        for (_shard, tenant), report in cached.items():
-            totals[tenant] = totals.get(tenant, 0) + int(
-                report.get("total_bytes", 0)
-            )
-        return totals
-
-    def hit_ratios(self) -> List[float]:
-        """Per-shard insert-path cache hit ratios."""
-        return [
-            self.shard_stats(shard_id)["hit_ratio"]
-            for shard_id in range(self.num_shards)
-        ]
-
-    def resident_voxels(self) -> int:
-        """Cache-resident voxels summed over shards."""
-        return sum(
-            self.shard_stats(shard_id)["resident_voxels"]
-            for shard_id in range(self.num_shards)
-        )
-
-    def octree_nodes(self) -> int:
-        """Octree nodes summed over shards."""
-        return sum(
-            self.shard_stats(shard_id)["octree_nodes"]
-            for shard_id in range(self.num_shards)
-        )
-
-    def modeled_total_cost(self) -> float:
-        """Sum of per-batch modeled costs (max-over-shards execution)."""
-        return sum(record.modeled_cost for record in self.records)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ProcessShardedMap(res={self.resolution}, depth={self.depth}, "
-            f"shards={self.num_shards}, procs={self.num_procs}, "
-            f"batches={len(self.records)})"
-        )
+        return {
+            int(tenant): MemoryReport.from_dict(report)
+            for tenant, report in slots.items()
+        }

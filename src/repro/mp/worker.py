@@ -31,19 +31,14 @@ import os
 import signal
 import threading
 import traceback
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.core.config import CacheConfig
-from repro.core.octocache import OctoCacheMap
 from repro.mp import codec
-from repro.octree.iterators import occupied_keys_in_box
-from repro.octree.key import VoxelKey
-from repro.octree.merge import merge_tree
 from repro.octree.occupancy import OccupancyParams
 from repro.octree.serialize import tree_to_bytes
-from repro.octree.tree import OccupancyOctree
 from repro.resilience.recovery import ShardCheckpoint, restore_pipeline
-from repro.sensor.scaninsert import ScanBatch
+from repro.service.shard_slots import ShardSlots
 from repro.telemetry.tracer import (
     CountEvent,
     Span,
@@ -108,91 +103,27 @@ class _RelaySink:
         return events
 
 
-def _build_params(config: Dict[str, Any]) -> OccupancyParams:
-    fields = config.get("params")
-    if not fields:
-        return OccupancyParams()
-    return OccupancyParams(
-        threshold=fields["threshold"],
-        delta_occupied=fields["delta_occupied"],
-        delta_free=fields["delta_free"],
-        min_occ=fields["min_occ"],
-        max_occ=fields["max_occ"],
-    )
-
-
-def _build_cache_config(config: Dict[str, Any]) -> Optional[CacheConfig]:
-    fields = config.get("cache_config")
-    if not fields:
-        return None
-    return CacheConfig(
-        num_buckets=fields["num_buckets"],
-        bucket_threshold=fields["bucket_threshold"],
-        use_morton_indexing=fields["use_morton_indexing"],
-    )
-
-
 class _ShardWorker:
-    """Per-process state: one pipeline per assigned ``(shard, tenant)``.
+    """Per-process state: the :class:`ShardSlots` of the assigned shards.
 
     Tenant slot 0 (the default single-tenant map) gets its pipelines
-    eagerly, exactly as before wire v3; non-zero tenant slots are
-    created lazily on first touch (apply/restore/query) and torn down
-    with ``DROP_TENANT`` — eviction must release the worker-side memory,
-    not just the parent's bookkeeping.
+    eagerly; non-zero tenant slots are created lazily on first touch
+    (apply/restore/query) and torn down with ``DROP_TENANT`` — eviction
+    must release the worker-side memory, not just the parent's
+    bookkeeping.  Every command is "decode, ask the slot table, encode".
     """
 
     def __init__(
         self, config: Dict[str, Any], relay: Optional[_RelaySink] = None
     ) -> None:
-        self.resolution = float(config["resolution"])
-        self.depth = int(config["depth"])
-        self.max_range = float(config["max_range"])
-        self.kernel = str(config.get("kernel", "scalar"))
-        self.params = _build_params(config)
-        self.cache_config = _build_cache_config(config)
-        self.shard_ids = [int(shard) for shard in config["shard_ids"]]
+        shape = dict(config)
+        shard_ids = shape.pop("shard_ids")
+        if shape.get("params"):
+            shape["params"] = OccupancyParams(**shape["params"])
+        if shape.get("cache_config"):
+            shape["cache_config"] = CacheConfig(**shape["cache_config"])
+        self.slots = ShardSlots(shard_ids, **shape)
         self.relay = relay
-        self.pipelines: Dict[Tuple[int, int], OctoCacheMap] = {
-            (shard, 0): self._make_pipeline() for shard in self.shard_ids
-        }
-
-    def _make_pipeline(self) -> OctoCacheMap:
-        return OctoCacheMap(
-            resolution=self.resolution,
-            depth=self.depth,
-            params=self.params,
-            max_range=self.max_range,
-            cache_config=self.cache_config,
-            kernel=self.kernel,
-        )
-
-    def pipeline(self, shard: int, tenant: int) -> OctoCacheMap:
-        if shard not in self.shard_ids:
-            raise ValueError(
-                f"shard {shard} is not assigned to this worker "
-                f"(owns {self.shard_ids})"
-            )
-        slot = (shard, tenant)
-        existing = self.pipelines.get(slot)
-        if existing is None:
-            existing = self.pipelines[slot] = self._make_pipeline()
-        return existing
-
-    # -- memory accounting ---------------------------------------------
-
-    def _slot_name(self, tenant: int) -> str:
-        return "default" if tenant == 0 else f"tenant{tenant}"
-
-    def _mem_report(
-        self, shard: int, tenant: int, exact: bool = False, deep: bool = False
-    ):
-        pipeline = self.pipelines.get((shard, tenant))
-        if pipeline is None:
-            return None
-        return pipeline.memory_breakdown(
-            exact=exact, deep=deep, name=self._slot_name(tenant)
-        )
 
     def _relay_mem(self, shard: int, tenant: int) -> None:
         """Piggyback a slot's byte rollup onto the next reply.
@@ -202,7 +133,7 @@ class _ShardWorker:
         """
         if self.relay is None:
             return
-        report = self._mem_report(shard, tenant)
+        report = self.slots.memory_report(shard, tenant)
         self.relay.push(
             {
                 "k": "mem",
@@ -215,84 +146,43 @@ class _ShardWorker:
     # -- commands ------------------------------------------------------
 
     def apply(self, shard: int, tenant: int, payload: bytes) -> bytes:
-        observations = codec.decode_observations(payload)
-        pipeline = self.pipeline(shard, tenant)
-        batch = ScanBatch(observations=observations, num_rays=0)
-        record = pipeline.insert_batch(batch)
-        self._relay_mem(shard, tenant)
-        return codec.encode_busy_seconds(
-            pipeline.record_busy_seconds(record)
+        busy = self.slots.apply(
+            shard, tenant, codec.decode_observations(payload)
         )
+        self._relay_mem(shard, tenant)
+        return codec.encode_busy_seconds(busy)
 
     def query_many(self, shard: int, tenant: int, payload: bytes) -> bytes:
-        pipeline = self.pipeline(shard, tenant)
-        keys = codec.decode_keys(payload)
+        pipeline = self.slots.get(shard, tenant)
         return codec.encode_values(
-            [pipeline.query_key(key) for key in keys]
+            [pipeline.query_key(key) for key in codec.decode_keys(payload)]
         )
 
     def box_query(self, shard: int, tenant: int, payload: bytes) -> bytes:
         min_key, max_key = codec.decode_keys(payload)
-        pipeline = self.pipeline(shard, tenant)
-
-        def in_box(key: VoxelKey) -> bool:
-            return all(
-                min_key[axis] <= key[axis] <= max_key[axis]
-                for axis in range(3)
-            )
-
-        # Same cache-is-authoritative overlay as ShardedMap.occupied_in_box.
-        cached = {
-            key: value
-            for key, value in pipeline.cache.iter_cells()
-            if in_box(key)
-        }
-        occupied = [
-            key
-            for key in occupied_keys_in_box(pipeline.octree, min_key, max_key)
-            if key not in cached
-        ]
-        occupied.extend(
-            key
-            for key, value in cached.items()
-            if self.params.is_occupied(value)
+        return codec.encode_keys(
+            sorted(self.slots.occupied_in_box(shard, tenant, min_key, max_key))
         )
-        return codec.encode_keys(sorted(occupied))
 
     def snapshot(self, shard: int, tenant: int) -> bytes:
-        pipeline = self.pipeline(shard, tenant)
-        tree = OccupancyOctree(
-            resolution=self.resolution, depth=self.depth, params=self.params
-        )
-        merge_tree(tree, pipeline.octree, strategy="overwrite")
-        for key, value in pipeline.cache.iter_cells():
-            tree.set_leaf(key, value)
-        return tree_to_bytes(tree)
+        return tree_to_bytes(self.slots.merge_into(shard, tenant))
 
     def restore(self, shard: int, tenant: int, payload: bytes) -> bytes:
         blob, upto, batches = codec.decode_restore(payload)
         checkpoint = (
             ShardCheckpoint(blob=blob, upto=upto) if blob is not None else None
         )
-        self.pipeline(shard, tenant)  # validate ownership before replacing
-        self.pipelines[(shard, tenant)] = restore_pipeline(
-            self._make_pipeline, checkpoint, batches
+        self.slots.get(shard, tenant)  # validate ownership before replacing
+        self.slots.put(
+            shard,
+            tenant,
+            restore_pipeline(self.slots.make_pipeline, checkpoint, batches),
         )
         self._relay_mem(shard, tenant)
         return codec.encode_json({"replayed": len(batches)})
 
     def stats(self, shard: int, tenant: int) -> bytes:
-        pipeline = self.pipeline(shard, tenant)
-        return codec.encode_json(
-            {
-                "hit_ratio": pipeline.hit_ratio,
-                "resident_voxels": pipeline.cache.resident_voxels,
-                "octree_nodes": pipeline.octree.num_nodes,
-                "batches": len(pipeline.batches),
-                "cache": pipeline.cache.stats_dict(),
-                "memory": pipeline.memory_breakdown().to_dict(),
-            }
-        )
+        return codec.encode_json(self.slots.stats(shard, tenant))
 
     def mem(self, shard: int, tenant: int, payload: bytes) -> bytes:
         """Every slot's breakdown for one shard (``MEM`` command).
@@ -302,29 +192,31 @@ class _ShardWorker:
         ignored — one round trip returns the whole shard's slots.
         """
         options = codec.decode_json(payload) if payload else {}
-        exact = bool(options.get("exact", False))
-        deep = bool(options.get("deep", False))
-        slots: Dict[str, Any] = {}
-        for (slot_shard, slot_tenant) in sorted(self.pipelines):
-            if slot_shard != shard:
-                continue
-            report = self._mem_report(
-                shard, slot_tenant, exact=exact, deep=deep
-            )
-            if report is not None:
-                slots[str(slot_tenant)] = report.to_dict()
-        return codec.encode_json({"slots": slots})
+        reports = self.slots.memory_reports(
+            shard,
+            exact=bool(options.get("exact", False)),
+            deep=bool(options.get("deep", False)),
+        )
+        return codec.encode_json(
+            {
+                "slots": {
+                    str(slot): report.to_dict()
+                    for slot, report in reports.items()
+                }
+            }
+        )
 
     def finalize(self, shard: int, tenant: int) -> bytes:
-        self.pipeline(shard, tenant).finalize()
-        self._relay_mem(shard, tenant)
+        """Flush every slot on the shard (``FINALIZE``; the addressed
+        tenant is ignored, as for ``MEM``)."""
+        self.slots.finalize_shard(shard)
+        for slot in self.slots.tenants_on(shard):
+            self._relay_mem(shard, slot)
         return b""
 
     def drop_tenant(self, shard: int, tenant: int) -> bytes:
         """Free a tenant's pipeline on this shard (eviction)."""
-        if tenant == 0:
-            raise ValueError("tenant slot 0 (the default map) cannot be dropped")
-        dropped = self.pipelines.pop((shard, tenant), None) is not None
+        dropped = self.slots.drop(shard, tenant)
         self._relay_mem(shard, tenant)
         return codec.encode_json({"dropped": dropped})
 

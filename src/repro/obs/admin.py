@@ -181,9 +181,7 @@ class _AdminHandler(BaseHTTPRequestHandler):
                     body = b'{"error": "admin server closing"}\n'
                     self._reply(503, "application/json", body)
                 else:
-                    registry = getattr(
-                        admin.service, "tenant_registry", None
-                    )
+                    registry = admin.service.tenant_registry
                     if registry is None:
                         payload: Dict[str, object] = {
                             "enabled": False,

@@ -6,9 +6,11 @@ package generalises that schedule to *N* spatial shards so many producers
 (sensors) and consumers (planners) can hammer one map concurrently:
 
 - :mod:`repro.service.sharding` — Morton-prefix routing of voxels to shards.
-- :mod:`repro.service.sharded_map` — ``ShardedMap``: per-shard OctoCache
-  pipelines behind per-shard locks, with a ``merge_tree``-based global
-  snapshot export.
+- :mod:`repro.service.sharded_map` — ``MapBackend``: the one map surface
+  (per-shard locks, cross-shard queries, ``merge_tree``-based global
+  snapshot export), and ``ShardedMap``, its in-process transport.
+- :mod:`repro.service.shard_slots` — ``ShardSlots``: the per-shard
+  OctoCache pipelines of one process, read as one map (cache over octree).
 - :mod:`repro.service.server` — ``OccupancyMapService``: bounded ingest
   queues, batch coalescing, explicit backpressure, shard worker threads,
   a concurrent query API, and crash resilience (journaled batches,

@@ -351,12 +351,15 @@ class OccupancyMapService:
             directory=config.checkpoint_dir,
             fault_plan=self.fault_plan,
         )
-        if config.workers == "process":
-            # Child-process spans/counters relay into the service tracer
-            # (registry + forward sinks), and a process that died taking
-            # sibling shards with it lazily restores them from the store.
-            self.map.relay_tracer = self.tracer
-            self.map.recovery_source = self.store.recovery_state
+        # The process transport's seams (inert on the thread backend):
+        # child-process spans/counters relay into the service tracer
+        # (registry + forward sinks), and a process that died taking
+        # sibling shards with it lazily restores them from the store.
+        self.map.relay_tracer = self.tracer
+        self.map.recovery_source = self.store.recovery_state
+        #: The mounted :class:`~repro.tenancy.registry.TenantRegistry`
+        #: (it installs itself here and clears this on ``close()``).
+        self.tenant_registry = None
         self._queues: List["queue.Queue"] = [
             queue.Queue() for _ in range(config.num_shards)
         ]
@@ -845,11 +848,8 @@ class OccupancyMapService:
         No-op for the thread backend and for a process that already
         died (a real death *is* the crash being handled).
         """
-        kill = getattr(self.map, "kill_shard_process", None)
-        if kill is None:
-            return
         try:
-            kill(shard_id)
+            self.map.kill_shard_process(shard_id)
         except Exception:  # pragma: no cover - racing a dying process
             pass
 
@@ -1187,17 +1187,15 @@ class OccupancyMapService:
         children.append(MemoryReport("queues", children=shard_reports))
         children.append(self.store.memory_breakdown(exact=exact))
         children.append(self.tracer.memory_breakdown(exact=exact))
-        registry = getattr(self, "tenant_registry", None)
-        if registry is not None and hasattr(registry, "memory_breakdown"):
-            children.append(registry.memory_breakdown(exact=exact))
+        if self.tenant_registry is not None:
+            children.append(self.tenant_registry.memory_breakdown(exact=exact))
         return MemoryReport("service", children=children)
 
     def tenant_memory_bytes(self) -> Dict[str, int]:
         """Attributed footprint per tenant name (empty without tenancy)."""
-        registry = getattr(self, "tenant_registry", None)
-        if registry is None or not hasattr(registry, "tenant_memory_bytes"):
+        if self.tenant_registry is None:
             return {}
-        return registry.tenant_memory_bytes()
+        return self.tenant_registry.tenant_memory_bytes()
 
     def refresh_memory_metrics(
         self, exact: bool = False, deep: bool = False

@@ -1,22 +1,23 @@
-"""``ShardedMap``: N OctoCache pipelines behind a Morton-prefix router.
+"""The sharded occupancy map: N OctoCache pipelines behind a Morton router.
 
 Generalises the paper's two-thread schedule (§4.4) along the *spatial*
 axis: instead of one cache + one octree, the map is partitioned into
 ``num_shards`` disjoint Morton-prefix regions, each owned by its own
 :class:`~repro.core.octocache.OctoCacheMap` (cache + octree) behind its
-own lock.  Shards never share voxels, so:
+own lock, plus one pipeline per ``(shard, tenant)`` slot for hosted
+tenants.  Shards never share voxels, so:
 
 - updates to different shards are independent (lock-per-shard, no global
   lock on the hot path);
 - within a shard the paper's consistency argument applies unchanged — a
   resident cache cell is authoritative, eviction overwrites the octree —
   so every query answers exactly as a serially built OctoMap would;
-- the global snapshot is the plain union of shard maps, exported with
-  :func:`repro.octree.merge.merge_tree` plus a cache overlay.
+- the global snapshot is the plain union of shard maps.
 
-The class itself is synchronous (callers bring their own threads — see
-:class:`repro.service.server.OccupancyMapService`); all public entry
-points take the owning shard's lock, so concurrent use is safe.
+Where the pipelines *live* is a transport choice: :class:`MapBackend`
+owns everything that is not transport, :class:`ShardedMap` keeps the
+pipelines in this process, :class:`~repro.mp.backend.ProcessShardedMap`
+in supervised child processes.
 """
 
 from __future__ import annotations
@@ -25,28 +26,30 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.baselines.interface import BatchRecord
 from repro.core.config import CacheConfig
 from repro.core.octocache import OctoCacheMap
 from repro.kernels import validate_kernel
-from repro.octree.iterators import occupied_keys_in_box
+from repro.memsight.report import MemoryReport
 from repro.octree.key import VoxelKey, coord_to_key, key_to_coord
-from repro.octree.merge import merge_tree
 from repro.octree.occupancy import OccupancyParams
 from repro.octree.rayquery import RayHit
 from repro.octree.serialize import tree_to_bytes
 from repro.octree.tree import OccupancyOctree
-from repro.sensor.pointcloud import PointCloud
-from repro.sensor.raycast import compute_ray_keys
 from repro.resilience.faults import FaultPlan
 from repro.resilience.recovery import ShardCheckpoint, restore_pipeline
-from repro.sensor.scaninsert import ScanBatch, trace_scan, trace_scan_rt
+from repro.sensor.pointcloud import PointCloud
+from repro.sensor.raycast import compute_ray_keys
+from repro.sensor.scaninsert import trace_scan, trace_scan_rt
+from repro.service.shard_slots import ShardSlots
 from repro.service.sharding import ShardRouter
 from repro.telemetry import get_tracer
 
-__all__ = ["ShardedMap", "ShardedBatchRecord"]
+__all__ = ["MapBackend", "ShardedMap", "ShardedBatchRecord"]
+
+Observations = Sequence[Tuple[VoxelKey, bool]]
+Coord = Tuple[float, float, float]
 
 
 @dataclass
@@ -75,8 +78,40 @@ class ShardedBatchRecord:
         return self.ray_tracing + sum(self.shard_busy.values())
 
 
-class ShardedMap:
-    """A spatially sharded OctoCache occupancy map.
+class MapBackend:
+    """A spatially sharded OctoCache occupancy map (transport-agnostic).
+
+    Synchronous: callers bring their own threads (see
+    :class:`repro.service.server.OccupancyMapService`).  Every public
+    entry point takes the owning shard's lock, so concurrent use is safe
+    and shards proceed independently.
+
+    A transport defines these per-shard primitives — nothing else
+    differs between backends (``docs/parallelism.md`` has the table):
+
+    - ``apply_to_shard(shard_id, observations, tenant=0)``: one slot's
+      cache-insert → evict → octree-update cycle on a slice; returns the
+      pipeline's busy seconds.  Checks the ``octree.update`` fault site
+      first (``"drop"`` skips the slice), spans ``shard.ingest`` and
+      takes the shard lock, so ingest and queries serialise per shard.
+    - ``query_keys_in_shard(shard_id, keys, tenant=0)``: log-odds for
+      keys the caller routed itself (the tenant layer's salted routers).
+    - ``_values_along(keys)``: what :meth:`cast_ray` walks — lazy where
+      a query is a function call (nothing is read behind the first
+      hit), one batch per shard where it would be a round trip.
+    - ``_box_in_shard(shard_id, min_key, max_key)``: occupied keys in an
+      inclusive key box, any order; ``_merge_shard_into(tree, shard_id,
+      tenant)``: one slot's authoritative answers written into ``tree``.
+    - ``shard_stats(shard_id)`` and ``_slot_memory(shard_id, exact,
+      deep)``: the default slot's stats / every live slot's footprint by
+      tenant, in the shapes :class:`ShardSlots` gives them — so the
+      service never reaches into shard pipelines.
+    - ``restore_shard(shard_id, checkpoint, tail, tenant=0)``: rebuild a
+      slot from a checkpoint + the *full* journal tail; absolute (the
+      pipeline is replaced whole), so repeats never double-apply.
+    - ``_drop_slot(shard_id, tenant)`` (lock held, ``tenant != 0``),
+      ``_finalize_shard(shard_id)`` (every slot on the shard), and
+      :meth:`close` when it holds more than memory.
 
     Args:
         resolution: finest voxel edge length (metres), shared by shards.
@@ -89,11 +124,6 @@ class ShardedMap:
         kernel: ``"scalar"`` or ``"vector"`` — the tracing/apply kernel
             used by :meth:`insert_point_cloud` and every shard pipeline
             (see ``docs/kernels.md``; both produce bit-identical maps).
-        pipeline_cls: per-shard pipeline class (an ``OctoCacheMap``
-            subclass; the serial one is the right default since shard
-            parallelism replaces the two-thread schedule).
-        prefix_levels: router prefix depth override (see
-            :class:`~repro.service.sharding.ShardRouter`).
     """
 
     def __init__(
@@ -106,8 +136,6 @@ class ShardedMap:
         cache_config: Optional[CacheConfig] = None,
         rt: bool = False,
         kernel: str = "scalar",
-        pipeline_cls: Type[OctoCacheMap] = OctoCacheMap,
-        prefix_levels: Optional[int] = None,
     ) -> None:
         validate_kernel(kernel)
         self.resolution = resolution
@@ -115,19 +143,17 @@ class ShardedMap:
         self.max_range = max_range
         self.rt = rt
         self.kernel = kernel
-        self.router = ShardRouter(num_shards, depth, prefix_levels)
+        self.router = ShardRouter(num_shards, depth)
         self.params = params or OccupancyParams()
-        self._pipeline_cls = pipeline_cls
-        self._cache_config = cache_config
-        self.shards: List[OctoCacheMap] = [
-            self.make_shard_pipeline() for _ in range(num_shards)
-        ]
-        #: Tenant-slot pipelines, keyed ``(shard_id, tenant)`` with
-        #: ``tenant >= 1`` (slot 0 is the default map in :attr:`shards`).
-        #: Created lazily under the shard lock; the tenant layer places
-        #: each tenant's voxels with its own salted router, so slices
-        #: arriving here are already partitioned per tenant.
-        self._tenant_shards: Dict[Tuple[int, int], OctoCacheMap] = {}
+        #: The keyword arguments every shard pipeline is built with.
+        self._shape = {
+            "resolution": resolution,
+            "depth": depth,
+            "params": self.params,
+            "max_range": max_range,
+            "cache_config": cache_config,
+            "kernel": kernel,
+        }
         self._locks: List[threading.RLock] = [
             threading.RLock() for _ in range(num_shards)
         ]
@@ -139,6 +165,19 @@ class ShardedMap:
         #: inside :meth:`apply_to_shard`.  Empty (inert) by default; the
         #: service installs its own for chaos runs.
         self.fault_plan = FaultPlan()
+        # The seams only a process transport acts on.  Inert here, so
+        # the service and the tenant registry wire them without asking
+        # which backend they got.
+        #: Where relayed child telemetry is replayed; the service points
+        #: this at its always-on tracer (registry + forward sinks).
+        self.relay_tracer = None
+        #: ``shard id -> (checkpoint, journal tail)`` for lazy sibling
+        #: restore; the service installs ``CheckpointStore.recovery_state``.
+        self.recovery_source = lambda shard_id: (None, [])
+        #: Same per tenant slot, ``(tenant, shard id) -> ...``, installed
+        #: by the tenant registry; until then tenant pipelines respawn
+        #: empty and wait for the registry's absolute restore.
+        self.tenant_recovery_source = lambda tenant, shard_id: (None, [])
 
     @property
     def num_shards(self) -> int:
@@ -148,93 +187,30 @@ class ShardedMap:
         """The lock guarding one shard (exposed for the service layer)."""
         return self._locks[shard_id]
 
-    def make_shard_pipeline(self) -> OctoCacheMap:
-        """A fresh pipeline shaped like the resident shards.
+    def kill_shard_process(self, shard_id: int) -> bool:
+        """SIGKILL the process hosting a shard (chaos hook); ``False``
+        when there is none — always, for an in-process transport."""
+        return False
 
-        Crash recovery uses this as the factory for the replacement
-        pipeline a snapshot + journal replay is rebuilt into.
-        """
-        return self._pipeline_cls(
-            resolution=self.resolution,
-            depth=self.depth,
-            params=self.params,
-            max_range=self.max_range,
-            cache_config=self._cache_config,
-            kernel=self.kernel,
+    def _key_of(self, coord: Coord) -> VoxelKey:
+        return coord_to_key(coord, self.resolution, self.depth)
+
+    def _coord_of(self, key: VoxelKey) -> Coord:
+        return key_to_coord(key, self.resolution, self.depth)
+
+    def _new_tree(self) -> OccupancyOctree:
+        return OccupancyOctree(
+            resolution=self.resolution, depth=self.depth, params=self.params
         )
-
-    def replace_shard(
-        self, shard_id: int, pipeline: OctoCacheMap, tenant: int = 0
-    ) -> None:
-        """Swap in a rebuilt shard pipeline (under the shard lock).
-
-        Until this call the old pipeline keeps serving queries — stale
-        but self-consistent reads — which is why recovery rebuilds
-        off-lock and swaps atomically at the end.
-        """
-        with self._locks[shard_id]:
-            if tenant == 0:
-                self.shards[shard_id] = pipeline
-            else:
-                self._tenant_shards[(shard_id, tenant)] = pipeline
-
-    def _shard_pipeline(self, shard_id: int, tenant: int) -> OctoCacheMap:
-        """The pipeline for one ``(shard, tenant)`` slot (lazily created).
-
-        Must be called under ``self._locks[shard_id]``.
-        """
-        if tenant == 0:
-            return self.shards[shard_id]
-        slot = (shard_id, tenant)
-        pipeline = self._tenant_shards.get(slot)
-        if pipeline is None:
-            pipeline = self.make_shard_pipeline()
-            self._tenant_shards[slot] = pipeline
-        return pipeline
-
-    def drop_tenant(self, tenant: int) -> None:
-        """Discard every shard slice owned by ``tenant``.
-
-        The tenant layer persists the slices first (evict = persist +
-        drop); this just frees the memory.  Slot 0 — the default map —
-        cannot be dropped.
-        """
-        if tenant == 0:
-            raise ValueError("tenant slot 0 (the default map) cannot be dropped")
-        for shard_id in range(self.num_shards):
-            with self._locks[shard_id]:
-                self._tenant_shards.pop((shard_id, tenant), None)
-
-    def restore_shard(
-        self,
-        shard_id: int,
-        checkpoint: Optional[ShardCheckpoint],
-        tail: Sequence[Sequence[Tuple[VoxelKey, bool]]],
-        tenant: int = 0,
-    ) -> None:
-        """Rebuild one shard exactly from a checkpoint + journal tail.
-
-        The backend-agnostic recovery entry point the service calls
-        (:class:`~repro.mp.backend.ProcessShardedMap` implements the
-        same method by shipping a ``RESTORE`` command to the worker
-        process).  The rebuild runs off-lock — the old pipeline keeps
-        serving stale-but-consistent queries — and the replacement is
-        swapped in atomically.  With ``tenant != 0`` the rebuilt
-        pipeline lands in that tenant's slot instead of the default map.
-        """
-        pipeline = restore_pipeline(self.make_shard_pipeline, checkpoint, tail)
-        self.replace_shard(shard_id, pipeline, tenant=tenant)
 
     # ------------------------------------------------------------------
     # Update path.
     # ------------------------------------------------------------------
 
     def insert_point_cloud(
-        self,
-        points,
-        origin: Tuple[float, float, float] = (0.0, 0.0, 0.0),
+        self, points, origin: Coord = (0.0, 0.0, 0.0)
     ) -> ShardedBatchRecord:
-        """Trace one scan and apply it across shards (synchronously)."""
+        """Trace one scan (here) and apply it across shards, synchronously."""
         if isinstance(points, PointCloud):
             cloud = points
         else:
@@ -252,9 +228,7 @@ class ShardedMap:
         return self.insert_observations(batch.observations, ray_tracing=elapsed)
 
     def insert_observations(
-        self,
-        observations: Sequence[Tuple[VoxelKey, bool]],
-        ray_tracing: float = 0.0,
+        self, observations: Observations, ray_tracing: float = 0.0
     ) -> ShardedBatchRecord:
         """Partition pre-traced observations and apply each shard's slice.
 
@@ -272,87 +246,69 @@ class ShardedMap:
         self.records.append(record)
         return record
 
-    def apply_to_shard(
-        self,
-        shard_id: int,
-        observations: List[Tuple[VoxelKey, bool]],
-        tenant: int = 0,
-    ) -> float:
-        """Run one shard's cache-insert → evict → octree-update cycle.
-
-        Returns the shard's busy seconds for the slice.  Takes the shard
-        lock, so ingestion workers and queriers serialise per shard while
-        different shards proceed in parallel.  ``tenant != 0`` applies
-        the slice to that tenant's pipeline on the same shard lock.
-        """
-        if self.fault_plan.check("octree.update", shard=shard_id) == "drop":
-            return 0.0
-        batch = ScanBatch(observations=list(observations), num_rays=0)
-        with self.tracer.span(
-            "shard.ingest",
-            category="service",
-            shard=shard_id,
-            observations=len(batch),
-        ):
-            with self._locks[shard_id]:
-                # Resolve the pipeline under the lock: recovery may have
-                # swapped in a rebuilt one since the caller routed here.
-                shard = self._shard_pipeline(shard_id, tenant)
-                batch_record: BatchRecord = shard.insert_batch(batch)
-        return shard.record_busy_seconds(batch_record)
-
-    def query_keys_in_shard(
-        self,
-        shard_id: int,
-        keys: Sequence[VoxelKey],
-        tenant: int = 0,
-    ) -> List[Optional[float]]:
-        """Log-odds for pre-routed keys against one shard slot.
-
-        The tenant layer routes with per-tenant salted routers, so it
-        pre-partitions keys itself and reads each partition through this
-        entry point (the default-router :meth:`query_key` would route a
-        tenant's key to the wrong shard).
-        """
-        with self._locks[shard_id]:
-            shard = self._shard_pipeline(shard_id, tenant)
-            return [shard.query_key(key) for key in keys]
-
     def finalize(self) -> None:
         """Flush every shard cache into its octree (tenant slots too)."""
-        for shard_id, shard in enumerate(self.shards):
-            with self._locks[shard_id]:
-                shard.finalize()
-        for (shard_id, _tenant), shard in list(self._tenant_shards.items()):
-            with self._locks[shard_id]:
-                shard.finalize()
+        for shard_id in range(self.num_shards):
+            self._finalize_shard(shard_id)
 
-    close = finalize
+    def close(self) -> None:
+        """Finalize and release whatever the transport holds.  Idempotent."""
+        self.finalize()
 
-    def __enter__(self) -> "ShardedMap":
+    def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.finalize()
+        self.close()
+
+    def drop_tenant(self, tenant: int) -> None:
+        """Discard every shard slice owned by ``tenant``.
+
+        The tenant layer persists the slices first (evict = persist +
+        drop); this just frees the memory.  Slot 0 — the default map —
+        cannot be dropped.
+        """
+        if tenant == 0:
+            raise ValueError("tenant slot 0 (the default map) cannot be dropped")
+        for shard_id in range(self.num_shards):
+            with self._locks[shard_id]:
+                self._drop_slot(shard_id, tenant)
 
     # ------------------------------------------------------------------
-    # Query path: cache first, shard octree under the shard lock.
+    # Query path: route, then the consistent per-shard read.
     # ------------------------------------------------------------------
 
-    def _key_of(self, coord: Tuple[float, float, float]) -> VoxelKey:
-        return coord_to_key(coord, self.resolution, self.depth)
+    def query_keys(
+        self,
+        keys: Sequence[VoxelKey],
+        tenant: int = 0,
+        router: Optional[ShardRouter] = None,
+    ) -> Dict[VoxelKey, Optional[float]]:
+        """Point-query many keys with one batched read per shard.
+
+        ``tenant``/``router`` read a hosted tenant's map instead of the
+        default one: the tenant layer places voxels with per-tenant
+        salted routers, so its keys must be routed with *its* router.
+        """
+        router = router or self.router
+        by_shard: Dict[int, List[VoxelKey]] = {}
+        for key in keys:
+            by_shard.setdefault(router.shard_of(key), []).append(key)
+        answers: Dict[VoxelKey, Optional[float]] = {}
+        for shard_id, shard_keys in by_shard.items():
+            values = self.query_keys_in_shard(shard_id, shard_keys, tenant)
+            answers.update(zip(shard_keys, values))
+        return answers
 
     def query_key(self, key: VoxelKey) -> Optional[float]:
         """Log-odds occupancy for ``key`` (``None`` = unknown)."""
-        shard_id = self.router.shard_of(key)
-        with self._locks[shard_id]:
-            return self.shards[shard_id].query_key(key)
+        return self.query_keys_in_shard(self.router.shard_of(key), (key,))[0]
 
-    def query(self, coord: Tuple[float, float, float]) -> Optional[float]:
+    def query(self, coord: Coord) -> Optional[float]:
         """Log-odds occupancy at a metric coordinate."""
         return self.query_key(self._key_of(coord))
 
-    def is_occupied(self, coord: Tuple[float, float, float]) -> Optional[bool]:
+    def is_occupied(self, coord: Coord) -> Optional[bool]:
         """Occupancy decision at a metric coordinate (``None`` = unknown)."""
         value = self.query(coord)
         if value is None:
@@ -361,8 +317,8 @@ class ShardedMap:
 
     def cast_ray(
         self,
-        origin: Tuple[float, float, float],
-        direction: Tuple[float, float, float],
+        origin: Coord,
+        direction: Coord,
         max_range: float,
         ignore_unknown: bool = True,
     ) -> RayHit:
@@ -391,8 +347,7 @@ class ShardedMap:
         keys = compute_ray_keys(origin, endpoint, self.resolution, self.depth)
         keys.append(self._key_of(endpoint))
         last: Optional[VoxelKey] = None
-        for key in keys:
-            value = self.query_key(key)
+        for key, value in zip(keys, self._values_along(keys)):
             if value is None:
                 if not ignore_unknown:
                     return RayHit(
@@ -408,157 +363,91 @@ class ShardedMap:
             return RayHit(hit=False, key=None, endpoint=None)
         return RayHit(hit=False, key=last, endpoint=self._coord_of(last))
 
-    def _coord_of(self, key: VoxelKey) -> Tuple[float, float, float]:
-        return key_to_coord(key, self.resolution, self.depth)
-
-    def occupied_in_box(
-        self,
-        min_coord: Tuple[float, float, float],
-        max_coord: Tuple[float, float, float],
-    ) -> List[VoxelKey]:
+    def occupied_in_box(self, min_coord: Coord, max_coord: Coord) -> List[VoxelKey]:
         """Occupied finest-level keys inside an inclusive metric box.
 
-        Per shard, the octree answers for evicted voxels (with subtree
-        culling) and resident cache cells overlay it — a cell is
-        authoritative while resident, so a cached-free voxel the octree
-        still thinks occupied is correctly excluded.
+        Each shard answers with its cache overlaid on its octree; shards
+        hold disjoint voxels, so the result is their sorted union.
         """
         min_key = self._key_of(min_coord)
         max_key = self._key_of(max_coord)
         for axis in range(3):
             if min_key[axis] > max_key[axis]:
                 raise ValueError(f"min_coord exceeds max_coord on axis {axis}")
-
-        def in_box(key: VoxelKey) -> bool:
-            return all(
-                min_key[axis] <= key[axis] <= max_key[axis] for axis in range(3)
-            )
-
         occupied: List[VoxelKey] = []
-        for shard_id, shard in enumerate(self.shards):
-            with self._locks[shard_id]:
-                cached = {
-                    key: value
-                    for key, value in shard.cache.iter_cells()
-                    if in_box(key)
-                }
-                for key in occupied_keys_in_box(shard.octree, min_key, max_key):
-                    if key not in cached:
-                        occupied.append(key)
-                occupied.extend(
-                    key
-                    for key, value in cached.items()
-                    if self.params.is_occupied(value)
-                )
+        for shard_id in range(self.num_shards):
+            occupied.extend(self._box_in_shard(shard_id, min_key, max_key))
         return sorted(occupied)
 
     # ------------------------------------------------------------------
-    # Global snapshot export.
+    # Snapshot export.
     # ------------------------------------------------------------------
+
+    def snapshot(self, tenant: int = 0) -> OccupancyOctree:
+        """Export one octree holding a whole map's current answers.
+
+        The union of the (disjoint) shard slots' authoritative trees —
+        the same cache-is-authoritative rule the query path applies, so
+        the snapshot agrees voxel-for-voxel with live queries at export
+        time.  Shards are locked one at a time: the snapshot is per-shard
+        consistent, which is the service's documented guarantee.
+        ``tenant != 0`` exports that tenant's map instead of the default.
+        """
+        tree = self._new_tree()
+        for shard_id in range(self.num_shards):
+            self._merge_shard_into(tree, shard_id, tenant)
+        return tree
 
     def shard_snapshot_tree(
         self, shard_id: int, tenant: int = 0
     ) -> OccupancyOctree:
         """One shard slot's authoritative tree: octree + cache overlay.
 
-        This is the per-shard slice of :meth:`snapshot` — the exact
-        accumulated values the shard would answer queries with right
-        now — and the payload crash-recovery checkpoints serialise.
-        ``tenant != 0`` exports that tenant's slice of the shard.
+        The per-shard slice of :meth:`snapshot` — the exact accumulated
+        values the slot would answer queries with right now.
         """
-        tree = OccupancyOctree(
-            resolution=self.resolution, depth=self.depth, params=self.params
-        )
-        with self._locks[shard_id]:
-            shard = self._shard_pipeline(shard_id, tenant)
-            merge_tree(tree, shard.octree, strategy="overwrite")
-            for key, value in shard.cache.iter_cells():
-                tree.set_leaf(key, value)
+        tree = self._new_tree()
+        self._merge_shard_into(tree, shard_id, tenant)
         return tree
 
     def shard_snapshot_blob(self, shard_id: int, tenant: int = 0) -> bytes:
         """One shard slot's authoritative tree as serialize-v2 bytes.
 
-        The checkpoint payload :class:`CheckpointStore` stores verbatim
-        (``write_snapshot_blob``); the process backend answers this from
-        the worker process without an extra decode/encode round trip.
+        The payload crash-recovery checkpoints (and tenant persist/evict
+        snapshots) store verbatim via
+        ``CheckpointStore.write_snapshot_blob``.
         """
-        return tree_to_bytes(self.shard_snapshot_tree(shard_id, tenant=tenant))
-
-    def snapshot(self) -> OccupancyOctree:
-        """Export one octree holding the whole map's current answers.
-
-        Built with :func:`merge_tree` over the (disjoint) shard octrees,
-        then overlaid with each shard's resident cache cells — the same
-        cache-is-authoritative rule the query path applies, so the
-        snapshot agrees voxel-for-voxel with live queries at export time.
-        Shards are locked one at a time: the snapshot is per-shard
-        consistent, which is the service's documented guarantee.
-        """
-        snapshot = OccupancyOctree(
-            resolution=self.resolution, depth=self.depth, params=self.params
-        )
-        for shard_id, shard in enumerate(self.shards):
-            with self._locks[shard_id]:
-                merge_tree(snapshot, shard.octree, strategy="overwrite")
-                for key, value in shard.cache.iter_cells():
-                    snapshot.set_leaf(key, value)
-        return snapshot
+        return tree_to_bytes(self.shard_snapshot_tree(shard_id, tenant))
 
     # ------------------------------------------------------------------
-    # Introspection.
+    # Introspection: rollups of the per-shard primitives.
     # ------------------------------------------------------------------
 
-    def shard_stats(self, shard_id: int) -> Dict[str, object]:
-        """One shard's pipeline stats (the service's ``/snapshot`` slice).
-
-        Backend-agnostic shape shared with
-        :meth:`~repro.mp.backend.ProcessShardedMap.shard_stats`, so the
-        service never reaches into shard pipelines directly.
-        """
-        with self._locks[shard_id]:
-            shard = self.shards[shard_id]
-            return {
-                "hit_ratio": shard.hit_ratio,
-                "resident_voxels": shard.cache.resident_voxels,
-                "octree_nodes": shard.octree.num_nodes,
-                "batches": len(shard.batches),
-                "cache": shard.cache.stats_dict(),
-            }
+    def _per_shard(self, stat: str) -> list:
+        return [
+            self.shard_stats(shard_id)[stat]
+            for shard_id in range(self.num_shards)
+        ]
 
     def hit_ratios(self) -> List[float]:
         """Per-shard insert-path cache hit ratios."""
-        ratios = []
-        for shard_id, shard in enumerate(self.shards):
-            with self._locks[shard_id]:
-                ratios.append(shard.hit_ratio)
-        return ratios
+        return self._per_shard("hit_ratio")
 
     def resident_voxels(self) -> int:
         """Cache-resident voxels summed over shards."""
-        total = 0
-        for shard_id, shard in enumerate(self.shards):
-            with self._locks[shard_id]:
-                total += shard.cache.resident_voxels
-        return total
+        return sum(self._per_shard("resident_voxels"))
 
     def octree_nodes(self) -> int:
         """Octree nodes summed over shards."""
-        total = 0
-        for shard_id, shard in enumerate(self.shards):
-            with self._locks[shard_id]:
-                total += shard.octree.num_nodes
-        return total
+        return sum(self._per_shard("octree_nodes"))
 
     def modeled_total_cost(self) -> float:
         """Sum of per-batch modeled costs (max-over-shards execution)."""
         return sum(record.modeled_cost for record in self.records)
 
-    # ------------------------------------------------------------------
-    # Memory accounting (repro.memsight).
-    # ------------------------------------------------------------------
-
-    def memory_breakdown(self, exact: bool = False, deep: bool = False):
+    def memory_breakdown(
+        self, exact: bool = False, deep: bool = False
+    ) -> MemoryReport:
         """Per-shard, per-tenant-slot footprint tree.
 
         Shape::
@@ -569,53 +458,162 @@ class ShardedMap:
             │   └── tenant<slot>   (one per live tenant slice)
             └── shard1 ...
 
-        Each shard is read under its own lock (per-shard consistent,
-        matching the snapshot guarantee).  ``exact`` recounts each
-        pipeline's storage; ``deep`` adds the octree depth drill-down.
+        Each shard is read on its own (per-shard consistent, matching
+        the snapshot guarantee).  ``exact`` recounts each pipeline's
+        storage; ``deep`` adds the octree depth drill-down.
         """
-        from repro.memsight.report import MemoryReport
-
-        by_shard: Dict[int, List] = {}
-        for shard_id, shard in enumerate(self.shards):
-            with self._locks[shard_id]:
-                by_shard[shard_id] = [
-                    shard.memory_breakdown(
-                        exact=exact, deep=deep, name="default"
-                    )
-                ]
-        for (shard_id, tenant), shard in sorted(self._tenant_shards.items()):
-            with self._locks[shard_id]:
-                by_shard.setdefault(shard_id, []).append(
-                    shard.memory_breakdown(
-                        exact=exact, deep=deep, name=f"tenant{tenant}"
-                    )
-                )
         return MemoryReport(
             "map",
             children=[
-                MemoryReport(f"shard{shard_id}", children=slots)
-                for shard_id, slots in sorted(by_shard.items())
+                MemoryReport(
+                    f"shard{shard_id}",
+                    children=[
+                        report
+                        for _tenant, report in sorted(
+                            self._slot_memory(shard_id, exact, deep).items()
+                        )
+                    ],
+                )
+                for shard_id in range(self.num_shards)
             ],
         )
 
     def tenant_memory_bytes(self) -> Dict[int, int]:
         """Footprint per tenant slot, summed across shards (slot 0 =
-        the default map).  The tenancy layer joins these to tenant names
-        for ``tenant.mem_bytes.<name>`` attribution."""
+        the default map, always present).  The tenancy layer joins these
+        to tenant names for ``tenant.mem_bytes.<name>`` attribution."""
         totals: Dict[int, int] = {0: 0}
-        for shard_id, shard in enumerate(self.shards):
-            with self._locks[shard_id]:
-                totals[0] += shard.memory_breakdown().total_bytes
-        for (shard_id, tenant), shard in list(self._tenant_shards.items()):
-            with self._locks[shard_id]:
-                totals[tenant] = (
-                    totals.get(tenant, 0)
-                    + shard.memory_breakdown().total_bytes
-                )
+        for shard_id in range(self.num_shards):
+            for tenant, report in self._slot_memory(shard_id).items():
+                totals[tenant] = totals.get(tenant, 0) + report.total_bytes
         return totals
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ShardedMap(res={self.resolution}, depth={self.depth}, "
+            f"{type(self).__name__}(res={self.resolution}, depth={self.depth}, "
             f"shards={self.num_shards}, batches={len(self.records)})"
         )
+
+
+class ShardedMap(MapBackend):
+    """The in-process transport: the pipelines live in a
+    :class:`~repro.service.shard_slots.ShardSlots` table here, and each
+    primitive is "take the shard lock, read the table".
+
+    Args: see :class:`MapBackend`.
+    """
+
+    def __init__(
+        self,
+        resolution: float,
+        depth: int = 12,
+        num_shards: int = 4,
+        params: Optional[OccupancyParams] = None,
+        max_range: float = float("inf"),
+        cache_config: Optional[CacheConfig] = None,
+        rt: bool = False,
+        kernel: str = "scalar",
+    ) -> None:
+        super().__init__(
+            resolution, depth, num_shards, params, max_range, cache_config,
+            rt, kernel,
+        )
+        self._slots = ShardSlots(range(num_shards), **self._shape)
+
+    @property
+    def shards(self) -> List[OctoCacheMap]:
+        """The default map's pipelines (tenant slot 0), by shard id."""
+        return [self._slots.get(shard_id) for shard_id in range(self.num_shards)]
+
+    def make_shard_pipeline(self) -> OctoCacheMap:
+        """A fresh pipeline shaped like the resident shards."""
+        return self._slots.make_pipeline()
+
+    def replace_shard(
+        self, shard_id: int, pipeline: OctoCacheMap, tenant: int = 0
+    ) -> None:
+        """Swap in a rebuilt shard pipeline (under the shard lock).
+
+        Until this call the old pipeline keeps serving queries — stale
+        but self-consistent reads — which is why recovery rebuilds
+        off-lock and swaps atomically at the end.
+        """
+        with self._locks[shard_id]:
+            self._slots.put(shard_id, tenant, pipeline)
+
+    def restore_shard(
+        self,
+        shard_id: int,
+        checkpoint: Optional[ShardCheckpoint],
+        tail: Sequence[Sequence[Tuple[VoxelKey, bool]]],
+        tenant: int = 0,
+    ) -> None:
+        """Rebuild a slot off-lock, then :meth:`replace_shard`."""
+        pipeline = restore_pipeline(self.make_shard_pipeline, checkpoint, tail)
+        self.replace_shard(shard_id, pipeline, tenant=tenant)
+
+    def apply_to_shard(
+        self,
+        shard_id: int,
+        observations: List[Tuple[VoxelKey, bool]],
+        tenant: int = 0,
+    ) -> float:
+        """Apply a slice to a slot's pipeline under the shard lock, so
+        different shards proceed in parallel."""
+        if self.fault_plan.check("octree.update", shard=shard_id) == "drop":
+            return 0.0
+        observations = list(observations)
+        with self.tracer.span(
+            "shard.ingest",
+            category="service",
+            shard=shard_id,
+            observations=len(observations),
+        ):
+            # The slot is resolved under the lock: recovery may have
+            # swapped in a rebuilt pipeline since the caller routed here.
+            with self._locks[shard_id]:
+                return self._slots.apply(shard_id, tenant, observations)
+
+    def query_keys_in_shard(
+        self, shard_id: int, keys: Sequence[VoxelKey], tenant: int = 0
+    ) -> List[Optional[float]]:
+        """Cache-first reads of one slot under the shard lock."""
+        with self._locks[shard_id]:
+            shard = self._slots.get(shard_id, tenant)
+            return [shard.query_key(key) for key in keys]
+
+    def _values_along(self, keys: List[VoxelKey]) -> Iterable[Optional[float]]:
+        # Lazy: a walk that stops at its first hit queries nothing more.
+        return map(self.query_key, keys)
+
+    def _box_in_shard(
+        self, shard_id: int, min_key: VoxelKey, max_key: VoxelKey
+    ) -> List[VoxelKey]:
+        with self._locks[shard_id]:
+            return self._slots.occupied_in_box(shard_id, 0, min_key, max_key)
+
+    def _merge_shard_into(
+        self, tree: OccupancyOctree, shard_id: int, tenant: int
+    ) -> None:
+        # Straight into the caller's tree under the lock: a whole-map
+        # snapshot never holds an intermediate per-shard copy.
+        with self._locks[shard_id]:
+            self._slots.merge_into(shard_id, tenant, tree)
+
+    def shard_stats(self, shard_id: int) -> Dict[str, object]:
+        """The default slot's stats, read under the shard lock."""
+        with self._locks[shard_id]:
+            return self._slots.stats(shard_id)
+
+    def _slot_memory(
+        self, shard_id: int, exact: bool = False, deep: bool = False
+    ) -> Dict[int, MemoryReport]:
+        with self._locks[shard_id]:
+            return self._slots.memory_reports(shard_id, exact, deep)
+
+    def _drop_slot(self, shard_id: int, tenant: int) -> None:
+        self._slots.drop(shard_id, tenant)
+
+    def _finalize_shard(self, shard_id: int) -> None:
+        with self._locks[shard_id]:
+            self._slots.finalize_shard(shard_id)

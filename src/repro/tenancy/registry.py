@@ -53,7 +53,6 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.memsight.report import MemoryReport
 from repro.octree.key import VoxelKey
-from repro.octree.merge import merge_tree
 from repro.octree.tree import OccupancyOctree
 from repro.resilience.recovery import CheckpointStore
 from repro.service.sharding import ShardRouter
@@ -279,18 +278,15 @@ class TenantRegistry:
         ]
         for thread in self._dispatchers:
             thread.start()
-        # Process backend: a SIGKILLed worker lazily rebuilds the tenant
-        # slots it hosted from the tenant journals, exactly like the
-        # default map's sibling-shard restore.
-        if hasattr(self.map, "tenant_recovery_source"):
-            self.map.tenant_recovery_source = self._tenant_recovery_state
+        # A SIGKILLed worker process lazily rebuilds the tenant slots it
+        # hosted from the tenant journals, exactly like the default
+        # map's sibling-shard restore (inert on the thread backend).
+        self.map.tenant_recovery_source = self._tenant_recovery_state
         #: Advisory per-tenant pressure flags (name -> level) from the
         #: service's PressureMonitor; surfaced in ``/tenants``.  The
         #: hook only *observes* — nothing is shed or evicted here.
         self._pressure_flags: Dict[str, str] = {}
-        pressure = getattr(service, "pressure", None)
-        if pressure is not None:
-            pressure.on_pressure = self._on_pressure
+        service.pressure.on_pressure = self._on_pressure
         service.tenant_registry = self
 
     # ------------------------------------------------------------------
@@ -599,36 +595,15 @@ class TenantRegistry:
     ) -> List[Optional[float]]:
         """Batch keyed query against one tenant's map (order preserved)."""
         tenant = self._require_active(name)
-        parts: Dict[int, List[Tuple[int, VoxelKey]]] = {}
-        for index, key in enumerate(keys):
-            parts.setdefault(tenant.router.shard_of(key), []).append(
-                (index, key)
-            )
-        answers: List[Optional[float]] = [None] * len(keys)
-        for shard_id, indexed in parts.items():
-            values = self.map.query_keys_in_shard(
-                shard_id, [key for _i, key in indexed], tenant=tenant.slot
-            )
-            for (index, _key), value in zip(indexed, values):
-                answers[index] = value
-        return answers
+        answers = self.map.query_keys(
+            keys, tenant=tenant.slot, router=tenant.router
+        )
+        return [answers[key] for key in keys]
 
     def snapshot(self, name: str) -> OccupancyOctree:
         """One tenant's whole map as a single octree (union of its
         per-shard authoritative trees — disjoint by routing)."""
-        tenant = self._require_active(name)
-        tree = OccupancyOctree(
-            resolution=self.service.config.resolution,
-            depth=self.service.config.depth,
-            params=self.map.params,
-        )
-        for shard_id in range(self.num_shards):
-            merge_tree(
-                tree,
-                self.map.shard_snapshot_tree(shard_id, tenant=tenant.slot),
-                strategy="overwrite",
-            )
-        return tree
+        return self.map.snapshot(tenant=self._require_active(name).slot)
 
     def subscribe(self, name: str) -> Subscription:
         """Open a map-diff stream on one tenant (see ``changelog.py``).
@@ -777,10 +752,9 @@ class TenantRegistry:
                 cv.notify_all()
         for thread in self._dispatchers:
             thread.join(timeout=10.0)
-        pressure = getattr(self.service, "pressure", None)
-        if pressure is not None and pressure.on_pressure == self._on_pressure:
-            pressure.on_pressure = None
-        if getattr(self.service, "tenant_registry", None) is self:
+        if self.service.pressure.on_pressure == self._on_pressure:
+            self.service.pressure.on_pressure = None
+        if self.service.tenant_registry is self:
             self.service.tenant_registry = None
 
     def __enter__(self) -> "TenantRegistry":

@@ -160,23 +160,6 @@ class TestQueryParity:
                 (63, 63, 63)
             )
 
-    def test_occupied_in_box_matches_thread_backend(self):
-        batches = make_batches(num_batches=2, per_batch=40, seed=9)
-        # The whole key grid: keys 0..63 map to [-3.2, 3.2) metres.
-        lo = (-3.2, -3.2, -3.2)
-        hi = (3.15, 3.15, 3.15)
-        results = {}
-        for workers in ("thread", "process"):
-            with OccupancyMapService(
-                make_config(snapshot_interval=0, workers=workers)
-            ) as service:
-                for batch in batches:
-                    service.submit_observations(batch, must_accept=True)
-                service.flush()
-                results[workers] = service.map.occupied_in_box(lo, hi)
-        assert results["process"] == results["thread"]
-        assert results["process"]  # non-trivial box
-
 
 class TestBackpressureParity:
     @pytest.mark.parametrize("workers", ["thread", "process"])
