@@ -548,9 +548,9 @@ def run_load_bench(
                     thread.join()
                 if errors:
                     raise errors[0]
-                if registry is not None:
-                    registry.flush()
-                service.flush()  # drain so the window owns its backlog
+                # Drain (every tenant's lane too) so the window owns its
+                # backlog.
+                service.flush()
                 elapsed = time.perf_counter() - step_start
                 after = _state(service)
                 availability, p99_ms, stale_ms, burning = _evaluate_step(

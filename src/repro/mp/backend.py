@@ -29,9 +29,9 @@ a crashed worker *thread* takes):
   shards when ``num_procs < num_shards``, so one death empties sibling
   shards the service never saw fail.  The next operation touching such
   a shard notices the process generation changed and replays
-  ``recovery_source(shard)`` — cut to the ``_applied`` prefix, because
-  the journal is appended *before* apply and the entry that was in
-  flight when the process died must not be double-applied when the
+  ``recovery_source(shard, tenant)`` — cut to the ``_applied`` prefix,
+  because the journal is appended *before* apply and the entry that was
+  in flight when the process died must not be double-applied when the
   service later restores it with the full tail.
 """
 
@@ -70,10 +70,9 @@ class ProcessShardedMap(MapBackend):
     :class:`~repro.service.sharded_map.MapBackend`: each primitive is one
     framed command to the worker hosting the shard (:meth:`_exchange`),
     and the seams the base class declares inert act here —
-    ``recovery_source`` / ``tenant_recovery_source`` feed the lazy
-    sibling restore, ``relay_tracer`` receives relayed child telemetry
-    (default: this object's own tracer), :meth:`kill_shard_process` is
-    the chaos hook.
+    ``recovery_source`` feeds the lazy sibling restore, ``relay_tracer``
+    receives relayed child telemetry (default: this object's own
+    tracer), :meth:`kill_shard_process` is the chaos hook.
 
     Args mirror ``MapBackend``; the extras:
         num_procs: worker process count (default one per shard); shards
@@ -215,10 +214,7 @@ class ProcessShardedMap(MapBackend):
         slot = (shard_id, tenant)
         if self._restored_gen.get(slot) == generation:
             return
-        if tenant == 0:
-            checkpoint, tail = self.recovery_source(shard_id)
-        else:
-            checkpoint, tail = self.tenant_recovery_source(tenant, shard_id)
+        checkpoint, tail = self.recovery_source(shard_id, tenant)
         upto = checkpoint.upto if checkpoint is not None else 0
         # Replay only what this slot had *applied*: the journal gains
         # an entry before its apply, and an in-flight entry belongs to

@@ -9,6 +9,12 @@ octree-update cycle.  Queries never traverse the queues — they go
 straight to the shard (cache first, octree under the shard lock), so a
 queue backlog delays *map freshness*, never *query latency*.
 
+This is the only ingest plane.  Every queued slice belongs to a *lane*
+(:class:`IngestLane`): lane 0 is the default map, the tenant layer adds
+one per hosted map.  A shard worker serves the lanes with queued slices
+round-robin, one lane per turn, so every map gets the same journaling,
+retries, checkpoints, recovery and spans, under one ``flush``/``close``.
+
 Backpressure is explicit because queue capacity is reserved up front
 (a per-shard semaphore guards a slot per queued sub-batch):
 
@@ -50,11 +56,11 @@ from __future__ import annotations
 
 import atexit
 import logging
-import queue
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import CacheConfig
 from repro.kernels import validate_kernel
@@ -73,11 +79,13 @@ from repro.sensor.pointcloud import PointCloud
 from repro.sensor.scaninsert import trace_scan, trace_scan_rt
 from repro.service.metrics import MetricsRegistry
 from repro.service.sharded_map import ShardedMap
+from repro.service.sharding import ShardRouter
 from repro.telemetry import ForwardSink, MetricsSink, Tracer, get_tracer
 from repro.telemetry.tracer import current_span_info
 
 __all__ = [
     "BackpressureError",
+    "IngestLane",
     "IngestReceipt",
     "OccupancyMapService",
     "QueryResult",
@@ -88,13 +96,17 @@ _BACKPRESSURE_POLICIES = ("block", "reject")
 
 _WORKER_BACKENDS = ("thread", "process")
 
-#: Sentinel telling a shard worker to exit.
-_STOP = object()
-
 #: Lifecycle events (crashes, recoveries, deaths) go through here; silent
 #: until a handler is attached — ``repro.obs.configure_json_logging()``
 #: renders them as span-correlated JSON lines (docs/observability.md).
 _LOG = logging.getLogger("repro.service")
+
+
+def _ambient_context() -> Tuple[int, float]:
+    """``(request_span_id, submitted_at)`` for a submission that carries
+    none: the caller's ambient span (0 = anonymous), stamped now."""
+    info = current_span_info()
+    return (info[0] if info else 0, time.perf_counter())
 
 
 class BackpressureError(RuntimeError):
@@ -260,7 +272,7 @@ class IngestReceipt:
     observations: int
     enqueued: int
     rejected: int
-    trace_seconds: float
+    trace_seconds: float = 0.0
 
     @property
     def accepted(self) -> bool:
@@ -284,6 +296,108 @@ class QueryResult:
     @property
     def stale(self) -> bool:
         return self.health != ShardHealth.HEALTHY.value
+
+
+def _no_hook(*_args) -> None:
+    """The default lane hook: nothing to release, nothing to account."""
+
+
+@dataclass(eq=False)
+class IngestLane:
+    """One map's seat on the ingest plane: what a shard worker needs to
+    know about a queued slice besides its observations.  Lanes differ
+    only in this data, never in the code that serves them.
+
+    Attributes:
+        slot: the ``(shard, tenant)`` pipeline slot the lane applies to.
+        name: label carried on the lane's spans (empty for lane 0).
+        router: places the lane's voxels on shards.
+        store: where the lane's slices are journaled and checkpointed.
+        on_dequeue: ``(lane, shard_id, slices)``, called as a turn leaves
+            the queue — frees capacity that bounds *queued* work.
+        on_done: ``(lane, shard_id, observations, slices, applied)``,
+            called once per turn after the apply (or its failure) and
+            before ``flush`` is released — the lane's own accounting.
+        outstanding: enqueued-but-unfinished slices (guarded by the
+            service's flush condition variable); what ``flush(lane)``
+            waits on and what a tenant's queue-slot quota bounds.
+    """
+
+    slot: int
+    name: str
+    router: ShardRouter
+    store: CheckpointStore
+    on_dequeue: Callable[..., None] = _no_hook
+    on_done: Callable[..., None] = _no_hook
+    outstanding: int = 0
+
+    def __post_init__(self) -> None:
+        self.span_attrs = {"tenant": self.name} if self.name else {}
+        #: Per-shard applies since the lane's last checkpoint there.
+        self.applied_since_snapshot = [0] * self.router.num_shards
+
+
+class _ShardQueue:
+    """One shard's ingest queue: a FIFO per lane plus the ring of lanes
+    that have slices queued.
+
+    The shard worker (the only consumer) takes a *turn*: up to ``limit``
+    slices of the lane at the head of the ring, which rejoins the tail if
+    it still has slices.  A backlogged lane therefore delays another by
+    one turn per round; with a single lane the ring is a plain FIFO.
+    """
+
+    def __init__(self) -> None:
+        self._cv = threading.Condition()
+        self._slices: Dict[IngestLane, Deque[tuple]] = {}
+        self._ring: Deque[IngestLane] = deque()
+        self._size = 0
+        self._stopped = False
+        #: Observations queued right now — the O(1) counter behind the
+        #: ``queues`` memory component (:meth:`items` is the recount).
+        self.observations = 0
+
+    def put(self, lane: IngestLane, item: tuple) -> None:
+        with self._cv:
+            queued = self._slices.get(lane)
+            if queued is None:
+                queued = self._slices[lane] = deque()
+                self._ring.append(lane)
+            queued.append(item)
+            self._size += 1
+            self.observations += len(item[0])
+            self._cv.notify()
+
+    def take(self, limit: int) -> Optional[Tuple[IngestLane, List[tuple]]]:
+        """Block for the next turn; ``None`` once stopped *and* drained."""
+        with self._cv:
+            while not self._ring:
+                if self._stopped:
+                    return None
+                self._cv.wait()
+            lane = self._ring.popleft()
+            queued = self._slices[lane]
+            items = [queued.popleft() for _ in range(min(limit, len(queued)))]
+            if queued:
+                self._ring.append(lane)
+            else:
+                del self._slices[lane]
+            self._size -= len(items)
+            self.observations -= sum(len(item[0]) for item in items)
+            return lane, items
+
+    def stop(self) -> None:
+        """Let the worker exit once every lane's slices are served."""
+        with self._cv:
+            self._stopped = True
+            self._cv.notify_all()
+
+    def qsize(self) -> int:
+        return self._size
+
+    def items(self) -> List[tuple]:
+        with self._cv:
+            return [item for queued in self._slices.values() for item in queued]
 
 
 class OccupancyMapService:
@@ -356,12 +470,12 @@ class OccupancyMapService:
         # (registry + forward sinks), and a process that died taking
         # sibling shards with it lazily restores them from the store.
         self.map.relay_tracer = self.tracer
-        self.map.recovery_source = self.store.recovery_state
+        self.map.recovery_source = self._recovery_state
         #: The mounted :class:`~repro.tenancy.registry.TenantRegistry`
         #: (it installs itself here and clears this on ``close()``).
         self.tenant_registry = None
-        self._queues: List["queue.Queue"] = [
-            queue.Queue() for _ in range(config.num_shards)
+        self._queues: List[_ShardQueue] = [
+            _ShardQueue() for _ in range(config.num_shards)
         ]
         # One slot per queueable sub-batch; reserved at submit time,
         # released at dequeue.  Reserving before enqueueing is what makes
@@ -370,13 +484,15 @@ class OccupancyMapService:
             threading.Semaphore(config.queue_capacity)
             for _ in range(config.num_shards)
         ]
+        #: Lane 0, the default map; its queue capacity is ``_slots``.
+        self.default_lane = IngestLane(
+            0, "", self.map.router, self.store, on_dequeue=self._free_slots
+        )
+        #: Every lane served, by slot (tenants add theirs): what recovery
+        #: rebuilds on a shard and ``map.recovery_source`` resolves.
+        self.lanes: Dict[int, IngestLane] = {0: self.default_lane}
         self._outstanding_cv = threading.Condition()
         self._outstanding = 0
-        # Observations sitting in each shard's queue right now — the
-        # O(1) counters behind the ``queues`` memory component
-        # (incremented at enqueue, decremented at dequeue, both under
-        # ``_outstanding_cv`` which those paths already take).
-        self._queued_obs: List[int] = [0] * config.num_shards
         #: Watermark evaluation over the accounted footprint; advisory
         #: (gauge + log + hook), refreshed by scrapes and benches.
         self.pressure = PressureMonitor(
@@ -389,7 +505,6 @@ class OccupancyMapService:
             ShardHealth.HEALTHY for _ in range(config.num_shards)
         ]
         self._recoveries = [0] * config.num_shards
-        self._applied_since_snapshot = [0] * config.num_shards
         self._retry: List[RetryPolicy] = [
             RetryPolicy(
                 max_attempts=config.retry_attempts,
@@ -520,8 +635,7 @@ class OccupancyMapService:
         """
         self._check_open()
         if request_context is None:
-            info = current_span_info()
-            request_context = (info[0] if info else 0, time.perf_counter())
+            request_context = _ambient_context()
         if not isinstance(deadline, Deadline):
             timeout = (
                 deadline if deadline is not None
@@ -534,32 +648,11 @@ class OccupancyMapService:
         with self.tracer.span(
             "ingest.enqueue", category="service", observations=len(observations)
         ) as span:
-            targets: List[Tuple[int, List[Tuple[VoxelKey, bool]]]] = []
-            failed: List[Tuple[int, List[Tuple[VoxelKey, bool]]]] = []
-            for shard_id, part in enumerate(
-                self.map.router.partition(observations)
-            ):
-                if not part:
-                    continue
-                if self._health[shard_id] is ShardHealth.DEAD:
-                    failed.append((shard_id, part))
-                    self.tracer.count(
-                        "ingest.dead_shard_observations",
-                        len(part),
-                        category="service",
-                    )
-                    continue
-                targets.append((shard_id, part))
+            targets, failed = self.route(self.default_lane, observations)
             # Phase 1: reserve a queue slot on every live target shard.
             reserved: List[Tuple[int, List[Tuple[VoxelKey, bool]]]] = []
             try:
                 for shard_id, part in targets:
-                    if (
-                        self.fault_plan.check("queue.enqueue", shard=shard_id)
-                        == "drop"
-                    ):
-                        failed.append((shard_id, part))
-                        continue
                     if self._reserve_slot(shard_id, deadline):
                         reserved.append((shard_id, part))
                     else:
@@ -589,9 +682,8 @@ class OccupancyMapService:
                 )
             # Phase 2: enqueue the reserved slices (queues are unbounded;
             # the reservation *is* the capacity check, so this cannot fail).
-            for shard_id, part in reserved:
-                self._enqueue_reserved(shard_id, part, request_context)
-                enqueued += len(part)
+            self.enqueue_slices(self.default_lane, reserved, request_context)
+            enqueued = sum(len(part) for _sid, part in reserved)
             rejected = sum(len(part) for _sid, part in failed)
             span.set(enqueued=enqueued, rejected=rejected)
         self._count_rejected(len(observations), rejected)
@@ -602,6 +694,31 @@ class OccupancyMapService:
             trace_seconds=trace_seconds,
         )
 
+    def route(
+        self, lane: IngestLane, observations: Sequence[Tuple[VoxelKey, bool]]
+    ) -> Tuple[list, list]:
+        """Partition a submission by the lane's router into ``(targets,
+        refused)`` lists of non-empty ``(shard_id, part)``.  A slice is
+        refused when its shard is dead or the ``queue.enqueue`` fault
+        site drops it — decided *before* the lane reserves capacity, so
+        a refusal needs no rollback."""
+        targets, refused = [], []
+        for shard_id, part in enumerate(lane.router.partition(observations)):
+            if not part:
+                continue
+            if self._health[shard_id] is ShardHealth.DEAD:
+                self.tracer.count(
+                    "ingest.dead_shard_observations",
+                    len(part),
+                    category="service",
+                )
+                refused.append((shard_id, part))
+            elif self.fault_plan.check("queue.enqueue", shard=shard_id) == "drop":
+                refused.append((shard_id, part))
+            else:
+                targets.append((shard_id, part))
+        return targets, refused
+
     def _count_rejected(self, observations: int, rejected: int) -> None:
         self.tracer.count(
             "ingest.observations", observations, category="service"
@@ -611,6 +728,9 @@ class OccupancyMapService:
                 "ingest.rejected_observations", rejected, category="service"
             )
             self.tracer.count("ingest.rejected_batches", category="service")
+
+    def _free_slots(self, _lane: IngestLane, shard_id: int, slices: int) -> None:
+        self._slots[shard_id].release(slices)
 
     def _reserve_slot(self, shard_id: int, deadline: Deadline) -> bool:
         """Claim one queue slot; False means the slice is rejected."""
@@ -627,25 +747,45 @@ class OccupancyMapService:
             )
         return True
 
-    def _enqueue_reserved(
+    def enqueue_slices(
         self,
-        shard_id: int,
-        part: List[Tuple[VoxelKey, bool]],
-        request_context: Tuple[int, float],
-    ) -> None:
+        lane: IngestLane,
+        slices: Sequence[Tuple[int, List[Tuple[VoxelKey, bool]]]],
+        request_context: Optional[Tuple[int, float]] = None,
+        limit: Optional[int] = None,
+    ) -> bool:
+        """Queue the admitted ``(shard_id, part)`` slices of one lane's
+        submission, all of them or (``False``) none.
+
+        ``limit`` bounds the lane's enqueued-but-unfinished slices (a
+        tenant's queue-slot quota; lane 0 reserved a slot per slice
+        instead).  Items carry their enqueue timestamp plus the request
+        context (span id + client-submit stamp) so the worker can parent
+        the slice's queue-wait and end-to-end spans to its request.
+        """
+        if request_context is None:
+            request_context = _ambient_context()
         with self._outstanding_cv:
-            self._outstanding += 1
-            self._queued_obs[shard_id] += len(part)
-        # Items carry their enqueue timestamp plus the request context
-        # (span id + client-submit stamp) so the worker can emit the
-        # slice's queue-wait and end-to-end spans parented to the
-        # request that produced them.
-        self._queues[shard_id].put(
-            (part, time.perf_counter(), request_context)
-        )
-        self.metrics.gauge(f"queue_depth.shard{shard_id}").set(
-            self._queues[shard_id].qsize()
-        )
+            if limit is not None and lane.outstanding + len(slices) > limit:
+                return False
+            self._outstanding += len(slices)
+            lane.outstanding += len(slices)
+        for shard_id, part in slices:
+            self._queues[shard_id].put(
+                lane, (part, time.perf_counter(), request_context)
+            )
+            self.metrics.gauge(f"queue_depth.shard{shard_id}").set(
+                self._queues[shard_id].qsize()
+            )
+        return True
+
+    def _recovery_state(self, shard_id: int, tenant: int = 0):
+        """``map.recovery_source``: the checkpoint + journal tail that
+        rebuilds one lane's slot on a shard (nothing for an unknown slot)."""
+        lane = self.lanes.get(tenant)
+        if lane is None:
+            return None, []
+        return lane.store.recovery_state(shard_id)
 
     # ------------------------------------------------------------------
     # Shard workers.
@@ -658,9 +798,7 @@ class OccupancyMapService:
             try:
                 self._recover_shard(shard_id, recover_from)
             except BaseException as error:  # rebuild itself failed
-                with self._outstanding_cv:
-                    self._errors.append(error)
-                    self._outstanding_cv.notify_all()
+                self._park_error(error)
                 self._set_health(shard_id, ShardHealth.DEAD)
         try:
             self._worker_loop(shard_id)
@@ -681,35 +819,28 @@ class OccupancyMapService:
             self._workers[shard_id] = replacement
             replacement.start()
 
+    def _park_error(self, error: BaseException) -> None:
+        """Keep a worker-side failure for ``flush``/``close`` to raise,
+        and wake whoever is waiting there."""
+        with self._outstanding_cv:
+            self._errors.append(error)
+            self._outstanding_cv.notify_all()
+
     def _worker_loop(self, shard_id: int) -> None:
         shard_queue = self._queues[shard_id]
         depth_gauge = self.metrics.gauge(f"queue_depth.shard{shard_id}")
         freshness_gauge = self.metrics.gauge("ingest.freshness_lag")
-        stop = False
-        while not stop:
-            item = shard_queue.get()
-            if item is _STOP:
+        while True:
+            # One turn: what the next lane in the ring already has
+            # queued, up to the coalesce limit — one lock acquisition and
+            # eviction scan per several sub-batches, one slot, one journal.
+            turn = shard_queue.take(self.config.coalesce)
+            if turn is None:
                 return
-            parts = [item]
-            # Coalesce whatever else is already queued (up to the limit):
-            # one lock acquisition and one eviction scan amortised over
-            # several sub-batches.
-            while len(parts) < self.config.coalesce:
-                try:
-                    extra = shard_queue.get_nowait()
-                except queue.Empty:
-                    break
-                if extra is _STOP:
-                    stop = True
-                    break
-                parts.append(extra)
+            lane, parts = turn
             # Dequeued sub-batches free their reserved slots immediately:
             # queue_capacity bounds *queued* work, not in-flight work.
-            self._slots[shard_id].release(len(parts))
-            with self._outstanding_cv:
-                self._queued_obs[shard_id] -= sum(
-                    len(part) for part, _ts, _ctx in parts
-                )
+            lane.on_dequeue(lane, shard_id, len(parts))
             depth_gauge.set(shard_queue.qsize())
             dequeued_at = time.perf_counter()
             for part, enqueued_at, (request_id, _submitted_at) in parts:
@@ -721,12 +852,14 @@ class OccupancyMapService:
                     parent_id=request_id or None,
                     shard=shard_id,
                     observations=len(part),
+                    **lane.span_attrs,
                 )
             observations = (
                 parts[0][0]
                 if len(parts) == 1
                 else [obs for part, _ts, _ctx in parts for obs in part]
             )
+            applied = False
             try:
                 if self._health[shard_id] is ShardHealth.DEAD:
                     self.tracer.count(
@@ -735,15 +868,17 @@ class OccupancyMapService:
                     continue
                 # Journal before applying: a crash mid-apply rebuilds
                 # from the journal, so accepted work is never lost.
-                self.store.append(shard_id, observations)
+                lane.store.append(shard_id, observations)
                 with self.tracer.span(
                     "shard.apply",
                     category="service",
                     shard=shard_id,
                     parts=len(parts),
                     observations=len(observations),
+                    **lane.span_attrs,
                 ):
-                    self._apply_with_retry(shard_id, observations)
+                    self._apply_with_retry(shard_id, observations, lane)
+                applied = True
                 self.tracer.count("shard.batches_applied", category="service")
                 # The batch is visible to queries now: close each slice's
                 # end-to-end latency (client submit -> applied) and its
@@ -759,6 +894,7 @@ class OccupancyMapService:
                         parent_id=request_id or None,
                         shard=shard_id,
                         observations=len(part),
+                        **lane.span_attrs,
                     )
                     self.tracer.record_span(
                         "ingest.freshness",
@@ -767,6 +903,7 @@ class OccupancyMapService:
                         duration=max(0.0, applied_at - enqueued_at),
                         parent_id=request_id or None,
                         shard=shard_id,
+                        **lane.span_attrs,
                     )
                     freshness_gauge.set(max(0.0, applied_at - submitted_at))
                 if len(parts) > 1:
@@ -775,10 +912,10 @@ class OccupancyMapService:
                         len(parts) - 1,
                         category="service",
                     )
-                self._applied_since_snapshot[shard_id] += 1
+                lane.applied_since_snapshot[shard_id] += 1
                 interval = self.config.snapshot_interval
-                if interval and self._applied_since_snapshot[shard_id] >= interval:
-                    self._write_checkpoint(shard_id)
+                if interval and lane.applied_since_snapshot[shard_id] >= interval:
+                    self.checkpoint(shard_id, lane)
             except InjectedCrash:
                 # Flag the shard *before* outstanding work is released so
                 # flush() keeps waiting until the rebuilt shard is
@@ -788,33 +925,37 @@ class OccupancyMapService:
                 # actually-empty process, not a pretend-crashed one.
                 self._set_health(shard_id, ShardHealth.RECOVERING)
                 self._kill_worker_process(shard_id)
-                if stop:
-                    # Don't lose the shutdown signal with the thread.
-                    shard_queue.put(_STOP)
                 raise
             except BaseException as error:
-                with self._outstanding_cv:
-                    self._errors.append(error)
-                    self._outstanding_cv.notify_all()
+                self._park_error(error)
                 # Surface the error (flush raises) *and* repair the
                 # shard in place: the failed batch is journaled, so the
                 # rebuild re-applies it instead of silently dropping it.
                 try:
                     self._recover_shard(shard_id, error)
                 except BaseException as rebuild_error:
-                    with self._outstanding_cv:
-                        self._errors.append(rebuild_error)
-                        self._outstanding_cv.notify_all()
+                    self._park_error(rebuild_error)
                     self._set_health(shard_id, ShardHealth.DEAD)
             finally:
+                # The lane's books first: a flush that returns sees them.
+                try:
+                    lane.on_done(
+                        lane, shard_id, observations, len(parts), applied
+                    )
+                except Exception as error:
+                    self._park_error(error)
                 with self._outstanding_cv:
                     self._outstanding -= len(parts)
+                    lane.outstanding -= len(parts)
                     self._outstanding_cv.notify_all()
 
     def _apply_with_retry(
-        self, shard_id: int, observations: List[Tuple[VoxelKey, bool]]
+        self,
+        shard_id: int,
+        observations: List[Tuple[VoxelKey, bool]],
+        lane: IngestLane,
     ) -> None:
-        """Apply one batch, retrying transient failures with backoff.
+        """Apply one batch to its lane's slot, retrying with backoff.
 
         :class:`InjectedCrash` is never retried — it models a fatal
         worker failure and escalates straight to recovery.
@@ -831,7 +972,9 @@ class OccupancyMapService:
                         "shard.dropped_batches", category="service"
                     )
                     return
-                self.map.apply_to_shard(shard_id, observations)
+                self.map.apply_to_shard(
+                    shard_id, observations, tenant=lane.slot
+                )
                 return
             except InjectedCrash:
                 raise
@@ -853,23 +996,27 @@ class OccupancyMapService:
         except Exception:  # pragma: no cover - racing a dying process
             pass
 
-    def _write_checkpoint(self, shard_id: int) -> None:
-        """Snapshot one shard's authoritative tree at a journal boundary.
+    def checkpoint(self, shard_id: int, lane: IngestLane) -> bool:
+        """Snapshot one lane's authoritative tree on a shard at a journal
+        boundary; ``False`` when the snapshot could not be written.
 
-        Runs on the shard's worker thread, which is the only appender to
-        the shard's journal — so ``journal_length`` here equals exactly
-        the entries already applied, and the snapshot is a precise prefix
-        of the shard's history.  The snapshot is exported as serialize-v2
-        bytes by the map backend (in the worker process, for the process
-        backend) and stored verbatim.
+        Call it where nothing is appending to the lane's journal on
+        this shard — the shard's worker thread between turns, or after
+        ``flush(lane)`` — so ``journal_length`` equals the entries already
+        applied and the snapshot is a precise prefix of the history.  The
+        map backend exports serialize-v2 bytes (in the worker process,
+        for the process backend), stored verbatim.
         """
-        upto = self.store.journal_length(shard_id)
+        upto = lane.store.journal_length(shard_id)
         try:
-            blob = self.map.shard_snapshot_blob(shard_id)
+            blob = self.map.shard_snapshot_blob(shard_id, tenant=lane.slot)
             with self.tracer.span(
-                "shard.snapshot", category="service", shard=shard_id
+                "shard.snapshot",
+                category="service",
+                shard=shard_id,
+                **lane.span_attrs,
             ):
-                self.store.write_snapshot_blob(shard_id, blob, upto)
+                lane.store.write_snapshot_blob(shard_id, blob, upto)
         except InjectedCrash:
             raise
         except BaseException as error:
@@ -881,12 +1028,28 @@ class OccupancyMapService:
                 "shard checkpoint failed; journal keeps growing",
                 extra={"shard": shard_id, "cause": repr(error)},
             )
-            return
-        self._applied_since_snapshot[shard_id] = 0
+            return False
+        lane.applied_since_snapshot[shard_id] = 0
         self.tracer.count("shard.snapshots", category="service")
+        return True
+
+    def restore_lane(self, shard_id: int, lane: IngestLane) -> Tuple[bool, int]:
+        """Rebuild one lane's slot on a shard exactly: latest checkpoint
+        plus the journal tail it does not cover.
+
+        Returns ``(from_snapshot, replayed)``.  A lane with nothing
+        durable there is left alone: no empty slot is created.
+        """
+        checkpoint, tail = lane.store.recovery_state(shard_id)
+        if checkpoint is not None or tail:
+            self.map.restore_shard(
+                shard_id, checkpoint, tail, tenant=lane.slot
+            )
+            lane.applied_since_snapshot[shard_id] = 0
+        return checkpoint is not None, len(tail)
 
     def _recover_shard(self, shard_id: int, cause: BaseException) -> None:
-        """Rebuild one shard exactly from snapshot + journal replay.
+        """Rebuild every lane's slot on one shard: snapshot + journal replay.
 
         The rebuild runs off-lock — the old pipeline keeps serving
         (stale) queries — and the finished replacement is swapped in
@@ -911,23 +1074,20 @@ class OccupancyMapService:
         with self.tracer.span(
             "shard.recover", category="service", shard=shard_id
         ) as span:
-            checkpoint, tail = self.store.recovery_state(shard_id)
-            self.map.restore_shard(shard_id, checkpoint, tail)
-            span.set(
-                replayed=len(tail),
-                from_snapshot=checkpoint is not None,
-                cause=type(cause).__name__,
-            )
+            restored = [
+                self.restore_lane(shard_id, lane)
+                for lane in list(self.lanes.values())
+            ]
+            outcome = {
+                "replayed": sum(replayed for _snap, replayed in restored),
+                "from_snapshot": any(snap for snap, _replayed in restored),
+                "cause": type(cause).__name__,
+            }
+            span.set(**outcome)
             _LOG.info(
                 "shard rebuilt exactly from checkpoint + journal replay",
-                extra={
-                    "shard": shard_id,
-                    "replayed": len(tail),
-                    "from_snapshot": checkpoint is not None,
-                    "cause": type(cause).__name__,
-                },
+                extra={"shard": shard_id, **outcome},
             )
-        self._applied_since_snapshot[shard_id] = 0
         self._set_health(shard_id, ShardHealth.HEALTHY)
 
     def _set_health(self, shard_id: int, health: ShardHealth) -> None:
@@ -1012,8 +1172,9 @@ class OccupancyMapService:
     # Barriers and shutdown.
     # ------------------------------------------------------------------
 
-    def flush(self) -> None:
-        """Block until every enqueued sub-batch has been applied and no
+    def flush(self, lane: Optional[IngestLane] = None) -> None:
+        """Block until every enqueued sub-batch — of every lane, hosted
+        tenants included, or of ``lane`` alone — has been applied and no
         shard is mid-recovery.
 
         Raises if any shard worker failed (the failed work is journaled
@@ -1022,7 +1183,7 @@ class OccupancyMapService:
         """
         with self._outstanding_cv:
             while not self._errors and (
-                self._outstanding > 0
+                (self._outstanding if lane is None else lane.outstanding) > 0
                 or any(
                     health is ShardHealth.RECOVERING
                     for health in self._health
@@ -1032,14 +1193,15 @@ class OccupancyMapService:
         self._raise_worker_errors()
 
     def close(self) -> None:
-        """Drain queues, stop workers, release the map backend.
+        """Drain every lane's queued slices, stop workers, release the
+        map backend.
 
         Idempotent, concurrency-safe, and teardown-safe: the winner of
         the close race does the work, every other caller returns
         immediately, and the version atexit runs (when the owner never
-        closed) survives interpreter teardown — enqueueing the stop
-        sentinels is wrapped so a torn-down queue cannot wedge the
-        handler before the worker processes are reaped.
+        closed) survives interpreter teardown — stopping the queues is
+        wrapped so a torn-down queue cannot wedge the handler before the
+        worker processes are reaped.
         """
         with self._close_lock:
             if self._closed:
@@ -1048,7 +1210,7 @@ class OccupancyMapService:
         atexit.unregister(self._close_at_exit)
         for shard_queue in self._queues:
             try:
-                shard_queue.put(_STOP)
+                shard_queue.stop()
             except BaseException:  # pragma: no cover - teardown only
                 pass
         # A crashing worker hands its queue to a replacement thread, so
@@ -1162,7 +1324,8 @@ class OccupancyMapService:
         """The service's hierarchical footprint (``docs/memory.md``).
 
         Components: the sharded ``map`` (per-shard, per-tenant-slot
-        cache + octree), the ingest ``queues`` (buffered observations),
+        cache + octree), the ingest ``queues`` (buffered observations of
+        every lane),
         ``durability`` (retained journal entries + snapshot blobs),
         ``telemetry`` (buffering tracer sinks), and — when a tenant
         registry is mounted — ``tenancy`` (change-log rings, per-tenant
@@ -1175,12 +1338,11 @@ class OccupancyMapService:
         shard_reports = []
         for shard_id in range(self.config.num_shards):
             if exact:
-                items = list(self._queues[shard_id].queue)
                 obs = sum(
-                    len(item[0]) for item in items if item is not _STOP
+                    len(item[0]) for item in self._queues[shard_id].items()
                 )
             else:
-                obs = max(0, self._queued_obs[shard_id])
+                obs = self._queues[shard_id].observations
             shard_reports.append(
                 MemoryReport(f"shard{shard_id}", obs * OBS_BYTES, obs)
             )

@@ -171,13 +171,10 @@ class MapBackend:
         #: Where relayed child telemetry is replayed; the service points
         #: this at its always-on tracer (registry + forward sinks).
         self.relay_tracer = None
-        #: ``shard id -> (checkpoint, journal tail)`` for lazy sibling
-        #: restore; the service installs ``CheckpointStore.recovery_state``.
-        self.recovery_source = lambda shard_id: (None, [])
-        #: Same per tenant slot, ``(tenant, shard id) -> ...``, installed
-        #: by the tenant registry; until then tenant pipelines respawn
-        #: empty and wait for the registry's absolute restore.
-        self.tenant_recovery_source = lambda tenant, shard_id: (None, [])
+        #: ``(shard id, tenant=0) -> (checkpoint, journal tail)`` for lazy
+        #: sibling restore of one slot; the service installs a lookup
+        #: through its lane table (a slot it does not know has nothing).
+        self.recovery_source = lambda shard_id, tenant=0: (None, [])
 
     @property
     def num_shards(self) -> int:

@@ -4,9 +4,9 @@ One OctoCache service instance hosts *many* concurrent occupancy maps —
 one per robot or mapping session — without dedicating shards to tenants:
 every tenant's voxels are consistent-hashed onto the same shard pool
 (per-tenant salted :class:`~repro.service.sharding.ShardRouter`), each
-shard holds one pipeline per ``(shard, tenant)`` slot, and per-shard
-dispatcher threads drain per-tenant queues round-robin so a chatty
-tenant cannot starve a quiet one.
+shard holds one pipeline per ``(shard, tenant)`` slot, and the service's
+shard workers serve the tenants' lanes round-robin so a chatty tenant
+cannot starve a quiet one.
 
 Public surface:
 

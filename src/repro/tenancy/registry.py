@@ -13,22 +13,21 @@ shards rather than dedicating shards per tenant:
   pipeline slot (see :meth:`ShardedMap.apply_to_shard` /
   :meth:`ProcessShardedMap.apply_to_shard`), so tenants never share
   voxel state.
-- **Fairness** — one dispatcher thread per shard drains per-tenant
-  deques round-robin (deficit round robin with a one-slice quantum): a
-  tenant replaying a log at memory speed gets one slice per turn, same
-  as a tenant trickling live scans.
+- **Fairness** — the registry runs no threads.  A tenant *is* an
+  :class:`~repro.service.server.IngestLane` on the service's one ingest
+  plane: each shard worker serves the lanes with queued slices
+  round-robin, one lane per turn, so a tenant replaying a log at memory
+  speed gets the same turns as one trickling live scans.
 - **Quotas** — submissions pass a per-tenant token bucket (scans/s) and
-  an all-or-nothing queue-slot reservation (one slot per target shard
-  slice); a rejected submission leaves the tenant's map byte-identical.
-- **Lifecycle** — every accepted slice is journaled into the tenant's
-  own :class:`~repro.resilience.recovery.CheckpointStore` *before* it is
-  applied; ``persist`` snapshots each shard slice (CRC'd serialize-v2),
-  ``evict`` persists then frees the tenant's memory, and ``restore``
-  rebuilds the map bit-exactly from snapshot + journal-tail replay —
-  the same recovery machinery shard crashes already use, pointed at a
-  tenant.  On the process backend the registry also installs itself as
-  ``map.tenant_recovery_source``, so a SIGKILLed worker process lazily
-  rebuilds every tenant slot it hosted from the tenant journals.
+  an all-or-nothing queue-slot check (one slot per target shard slice);
+  a rejected submission leaves the tenant's map byte-identical.
+- **Lifecycle** — the shard workers journal each accepted slice into the
+  tenant's own :class:`~repro.resilience.recovery.CheckpointStore`
+  *before* applying it, and retry, checkpoint and crash-rebuild it as
+  they do the default map.  ``persist`` checkpoints each shard slice,
+  ``evict`` persists then frees the tenant's memory, ``restore`` rebuilds
+  the map bit-exactly from snapshot + journal-tail replay — all through
+  the service's own checkpoint and restore routines.
 - **Streaming** — subscribers get leaf deltas since their cursor
   (:mod:`repro.tenancy.changelog`); capture costs one keyed read per
   written voxel and is skipped while a tenant has no subscribers.
@@ -45,16 +44,17 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import os
 import threading
-import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.memsight.report import MemoryReport
 from repro.octree.key import VoxelKey
 from repro.octree.tree import OccupancyOctree
+from repro.resilience.faults import InjectedCrash
 from repro.resilience.recovery import CheckpointStore
+from repro.service.server import IngestLane, IngestReceipt
 from repro.service.sharding import ShardRouter
 from repro.tenancy.changelog import ChangeLog, Subscription
 from repro.tenancy.quota import TenantQuota
@@ -102,55 +102,21 @@ class TenantQuotaExceeded(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TenantReceipt:
+class TenantReceipt(IngestReceipt):
     """What happened to one tenant-scoped submission.
 
-    ``reason`` is empty on acceptance, else ``"rate"`` (token bucket) or
-    ``"slots"`` (queue-slot quota) — the axis that rejected it.
+    ``reason`` is empty on acceptance, else ``"rate"`` (token bucket),
+    ``"slots"`` (queue-slot quota) or ``"shard"`` (a target shard is dead
+    or dropped the slice at the ``queue.enqueue`` fault site) — the axis
+    that rejected it.
     """
 
-    observations: int
-    enqueued: int
-    rejected: int
     reason: str = ""
 
-    @property
-    def accepted(self) -> bool:
-        return self.rejected == 0
 
-
-class _SlotPool:
-    """A counted pool supporting atomic multi-slot reservation.
-
-    ``threading.Semaphore`` cannot reserve N slots atomically, and
-    all-or-nothing admission needs exactly that: either every target
-    shard slice gets a slot or none does.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._free = capacity
-        self._lock = threading.Lock()
-
-    def try_reserve(self, count: int) -> bool:
-        with self._lock:
-            if self._free >= count:
-                self._free -= count
-                return True
-            return False
-
-    def release(self, count: int = 1) -> None:
-        with self._lock:
-            self._free = min(self.capacity, self._free + count)
-
-    @property
-    def free(self) -> int:
-        with self._lock:
-            return self._free
-
-
-class Tenant:
-    """One hosted map: routing, durability, quota, and accounting."""
+class Tenant(IngestLane):
+    """One hosted map: its lane on the service's ingest plane (slot,
+    routing, durability) plus quota and accounting."""
 
     def __init__(
         self,
@@ -161,18 +127,11 @@ class Tenant:
         quota: TenantQuota,
         changelog_capacity: int,
     ) -> None:
-        self.name = name
-        self.slot = slot
-        self.router = router
-        self.store = store
+        super().__init__(slot, name, router, store)
         self.quota = quota
         self.bucket = quota.make_bucket()
-        self.slots = _SlotPool(quota.queue_slots)
         self.state = TenantState.ACTIVE
         self.changelog = ChangeLog(changelog_capacity)
-        #: Enqueued-but-unapplied shard slices (guarded by the registry's
-        #: flush condition variable).
-        self.outstanding = 0
         self.submitted_observations = 0
         self.served_observations = 0
         self.rejected_observations = 0
@@ -187,7 +146,7 @@ class Tenant:
             "rejected_observations": self.rejected_observations,
             "pending_slices": self.outstanding,
             "quota": self.quota.to_dict(),
-            "queue_slots_free": self.slots.free,
+            "queue_slots_free": self.quota.queue_slots - self.outstanding,
             "changelog": self.changelog.stats(),
             "journal_entries": sum(
                 self.store.journal_length(shard) for shard in range(num_shards)
@@ -252,36 +211,9 @@ class TenantRegistry:
         self.changelog_capacity = changelog_capacity
         self.checkpoint_dir = checkpoint_dir
         self._tenants: Dict[str, Tenant] = {}
-        self._by_slot: Dict[int, Tenant] = {}
         self._next_slot = 1
         self._lock = threading.RLock()
-        self._cv = threading.Condition()
-        self._errors: List[BaseException] = []
-        self._stopped = False
         self._closed = False
-        # Per-shard dispatch state: a deque of slices per (tenant) slot,
-        # and an "active ring" of slots with pending work.  The ring is
-        # the round-robin: dispatchers take one slice per slot per turn.
-        self._shard_cvs = [threading.Condition() for _ in range(self.num_shards)]
-        self._pending: List[Dict[int, Deque[List[Tuple[VoxelKey, bool]]]]] = [
-            {} for _ in range(self.num_shards)
-        ]
-        self._rings: List[Deque[int]] = [deque() for _ in range(self.num_shards)]
-        self._dispatchers = [
-            threading.Thread(
-                target=self._dispatch_loop,
-                args=(shard_id,),
-                name=f"octocache-tenant-shard-{shard_id}",
-                daemon=True,
-            )
-            for shard_id in range(self.num_shards)
-        ]
-        for thread in self._dispatchers:
-            thread.start()
-        # A SIGKILLed worker process lazily rebuilds the tenant slots it
-        # hosted from the tenant journals, exactly like the default
-        # map's sibling-shard restore (inert on the thread backend).
-        self.map.tenant_recovery_source = self._tenant_recovery_state
         #: Advisory per-tenant pressure flags (name -> level) from the
         #: service's PressureMonitor; surfaced in ``/tenants``.  The
         #: hook only *observes* — nothing is shed or evicted here.
@@ -305,8 +237,6 @@ class TenantRegistry:
             self._next_slot += 1
             directory = None
             if self.checkpoint_dir is not None:
-                import os
-
                 directory = os.path.join(self.checkpoint_dir, f"tenant-{slot}")
             tenant = Tenant(
                 name=name,
@@ -316,12 +246,17 @@ class TenantRegistry:
                     self.service.config.depth,
                     salt=tenant_salt(name),
                 ),
-                store=CheckpointStore(self.num_shards, directory=directory),
+                store=CheckpointStore(
+                    self.num_shards,
+                    directory=directory,
+                    fault_plan=self.service.fault_plan,
+                ),
                 quota=quota or self.default_quota,
                 changelog_capacity=self.changelog_capacity,
             )
+            tenant.on_done = self._slices_done
             self._tenants[name] = tenant
-            self._by_slot[slot] = tenant
+            self.service.lanes[slot] = tenant
         self.metrics.state(f"tenant_state.{name}", initial="active")
         self.metrics.gauge("tenant.count").set(len(self._tenants))
         return tenant
@@ -352,13 +287,13 @@ class TenantRegistry:
         self.flush(name)
         written = 0
         for shard_id in range(self.num_shards):
-            upto = tenant.store.journal_length(shard_id)
             try:
-                blob = self.map.shard_snapshot_blob(shard_id, tenant=tenant.slot)
-                tenant.store.write_snapshot_blob(shard_id, blob, upto)
-                written += 1
-            except Exception:
-                self.metrics.counter("tenant.persist_failures").inc()
+                if self.service.checkpoint(shard_id, tenant):
+                    written += 1
+            except InjectedCrash:  # the worker process died under the export
+                self.service.tracer.count(
+                    "shard.snapshot_failures", category="service"
+                )
         self.metrics.counter(f"tenant.persists.{name}").inc()
         return written
 
@@ -376,6 +311,9 @@ class TenantRegistry:
         tenant = self._require_active(name)
         self.persist(name)
         tenant.state = TenantState.EVICTED
+        # A submission that raced the line above is journaled past the
+        # checkpoint (compaction keeps it), so restore replays it.
+        del self.service.lanes[tenant.slot]
         self.map.drop_tenant(tenant.slot)
         for shard_id in range(self.num_shards):
             tenant.store.compact(shard_id)
@@ -387,33 +325,19 @@ class TenantRegistry:
         """Rebuild an evicted tenant bit-exactly from its checkpoints.
 
         Per shard: latest snapshot + the journal tail it doesn't cover,
-        through the same :func:`restore_pipeline` replay shard-crash
-        recovery uses — so the restored map answers every query exactly
-        as it did at eviction.
+        through the same :meth:`OccupancyMapService.restore_lane` replay
+        shard-crash recovery uses — so the restored map answers every
+        query exactly as it did at eviction.
         """
         tenant = self.get(name)
         if tenant.state is TenantState.ACTIVE:
             raise RuntimeError(f"tenant {name!r} is active; nothing to restore")
         for shard_id in range(self.num_shards):
-            checkpoint, tail = tenant.store.recovery_state(shard_id)
-            if checkpoint is None and not tail:
-                continue
-            self.map.restore_shard(
-                shard_id, checkpoint, tail, tenant=tenant.slot
-            )
+            self.service.restore_lane(shard_id, tenant)
+        self.service.lanes[tenant.slot] = tenant
         tenant.state = TenantState.ACTIVE
         self.metrics.state(f"tenant_state.{name}").set("active")
         self.metrics.counter(f"tenant.restores.{name}").inc()
-
-    def _tenant_recovery_state(self, slot: int, shard_id: int):
-        """``map.tenant_recovery_source`` hook (process backend): the
-        snapshot + journal tail that rebuilds one tenant's shard slice
-        after its worker process died."""
-        with self._lock:
-            tenant = self._by_slot.get(slot)
-        if tenant is None:
-            return None, []
-        return tenant.store.recovery_state(shard_id)
 
     # ------------------------------------------------------------------
     # Ingest path.
@@ -444,26 +368,13 @@ class TenantRegistry:
         self.service.tracer.count("ingest.requests", category="service")
         if not tenant.bucket.try_acquire(1.0):
             return self._reject(tenant, total, "rate", must_accept)
-        parts = tenant.router.partition(observations)
-        targets = [
-            (shard_id, part) for shard_id, part in enumerate(parts) if part
-        ]
-        if not targets:
-            return TenantReceipt(observations=total, enqueued=0, rejected=0)
-        if not tenant.slots.try_reserve(len(targets)):
+        targets, refused = self.service.route(tenant, observations)
+        if refused:
+            return self._reject(tenant, total, "shard", must_accept)
+        if not self.service.enqueue_slices(
+            tenant, targets, limit=tenant.quota.queue_slots
+        ):
             return self._reject(tenant, total, "slots", must_accept)
-        with self._cv:
-            tenant.outstanding += len(targets)
-        submitted_at = time.perf_counter()
-        for shard_id, part in targets:
-            with self._shard_cvs[shard_id]:
-                queue = self._pending[shard_id].get(tenant.slot)
-                if queue is None:
-                    queue = deque()
-                    self._pending[shard_id][tenant.slot] = queue
-                    self._rings[shard_id].append(tenant.slot)
-                queue.append((part, submitted_at))
-                self._shard_cvs[shard_id].notify()
         self.metrics.gauge(f"tenant.pending.{name}").set(tenant.outstanding)
         return TenantReceipt(observations=total, enqueued=total, rejected=0)
 
@@ -483,74 +394,27 @@ class TenantRegistry:
             observations=total, enqueued=0, rejected=total, reason=reason
         )
 
-    def _dispatch_loop(self, shard_id: int) -> None:
-        cv = self._shard_cvs[shard_id]
-        pending = self._pending[shard_id]
-        ring = self._rings[shard_id]
-        while True:
-            with cv:
-                while not ring and not self._stopped:
-                    cv.wait()
-                if not ring:
-                    return  # stopped and drained
-                slot = ring.popleft()
-                part, submitted_at = pending[slot].popleft()
-                if pending[slot]:
-                    ring.append(slot)  # one slice per turn: round robin
-                else:
-                    del pending[slot]
-            self._apply_slice(shard_id, slot, part, submitted_at)
-
-    def _apply_slice(
+    def _slices_done(
         self,
+        tenant: Tenant,
         shard_id: int,
-        slot: int,
-        part: List[Tuple[VoxelKey, bool]],
-        submitted_at: float,
+        observations: List[Tuple[VoxelKey, bool]],
+        slices: int,
+        applied: bool,
     ) -> None:
-        with self._lock:
-            tenant = self._by_slot.get(slot)
-        try:
-            if tenant is None or tenant.state is not TenantState.ACTIVE:
-                return
-            # Journal before applying — same invariant as the service's
-            # shard workers, so a crash mid-apply (or mid-evict) rebuilds
-            # the slice from the tenant journal.
-            tenant.store.append(shard_id, part)
-            self.map.apply_to_shard(shard_id, part, tenant=slot)
-            applied_at = time.perf_counter()
-            # Same span names the service's shard workers emit, so the
-            # fleet's end-to-end/freshness latency lands in the very
-            # histograms the SLO engine and load-bench evaluate.
-            for span_name in ("ingest.e2e", "ingest.freshness"):
-                self.service.tracer.record_span(
-                    span_name,
-                    "service",
-                    start=submitted_at,
-                    duration=max(0.0, applied_at - submitted_at),
-                    shard=shard_id,
-                    observations=len(part),
-                    tenant=tenant.name,
-                )
-            tenant.served_observations += len(part)
-            self.metrics.counter(f"tenant.served.{tenant.name}").inc(len(part))
+        """The tenant lane's ``on_done`` hook: a turn was applied — or
+        discarded / left to recovery, which replays it from the journal
+        without passing here again."""
+        if applied:
+            tenant.served_observations += len(observations)
+            self.metrics.counter(f"tenant.served.{tenant.name}").inc(
+                len(observations)
+            )
             if tenant.changelog.active:
-                self._capture_deltas(shard_id, tenant, part)
-        except BaseException as error:
-            with self._cv:
-                self._errors.append(error)
-        finally:
-            if tenant is not None:
-                tenant.slots.release(1)
-                with self._cv:
-                    tenant.outstanding -= 1
-                    self._cv.notify_all()
-                self.metrics.gauge(f"tenant.pending.{tenant.name}").set(
-                    tenant.outstanding
-                )
-            else:
-                with self._cv:
-                    self._cv.notify_all()
+                self._capture_deltas(shard_id, tenant, observations)
+        self.metrics.gauge(f"tenant.pending.{tenant.name}").set(
+            tenant.outstanding - slices
+        )
 
     def _capture_deltas(
         self,
@@ -584,11 +448,7 @@ class TenantRegistry:
 
     def query_key(self, name: str, key: VoxelKey) -> Optional[float]:
         """Log-odds occupancy of one voxel in one tenant's map."""
-        tenant = self._require_active(name)
-        shard_id = tenant.router.shard_of(key)
-        return self.map.query_keys_in_shard(
-            shard_id, [key], tenant=tenant.slot
-        )[0]
+        return self.query_keys(name, [key])[0]
 
     def query_keys(
         self, name: str, keys: Sequence[VoxelKey]
@@ -618,31 +478,10 @@ class TenantRegistry:
     # ------------------------------------------------------------------
 
     def flush(self, name: Optional[str] = None) -> None:
-        """Wait until a tenant's (or every tenant's) slices are applied.
-
-        Raises the first dispatcher error, like the service's ``flush``.
-        """
-        with self._cv:
-            while not self._errors:
-                if name is None:
-                    with self._lock:
-                        tenants = list(self._tenants.values())
-                    busy = any(t.outstanding > 0 for t in tenants)
-                else:
-                    busy = self.get(name).outstanding > 0
-                if not busy:
-                    break
-                self._cv.wait()
-        self._raise_errors()
-
-    def _raise_errors(self) -> None:
-        with self._cv:
-            if not self._errors:
-                return
-            errors, self._errors = self._errors, []
-        raise RuntimeError(
-            f"{len(errors)} tenant dispatcher error(s); first: {errors[0]!r}"
-        ) from errors[0]
+        """Wait until a tenant's slices (or, with no name, every lane's)
+        are applied and no shard is mid-recovery — the service's own
+        barrier, so it raises the service's shard worker error."""
+        self.service.flush(None if name is None else self.get(name))
 
     def memory_breakdown(self, exact: bool = False) -> MemoryReport:
         """The ``tenancy`` component: per-tenant journals + changelogs.
@@ -668,16 +507,9 @@ class TenantRegistry:
         This is the view the pressure monitor's per-tenant watermarks
         and the ``tenant.mem_bytes.<name>`` gauges evaluate.
         """
-        try:
-            slot_bytes = self.map.tenant_memory_bytes()
-        except Exception:
-            slot_bytes = {}
-        with self._lock:
-            tenants = list(self._tenants.items())
         return {
-            name: int(slot_bytes.get(tenant.slot, 0))
-            + tenant.memory_breakdown().total_bytes
-            for name, tenant in tenants
+            name: entry["memory"]["total_bytes"]
+            for name, entry in self.tenants_dict()["tenants"].items()
         }
 
     def _on_pressure(self, level: str, tenant_levels: Dict[str, str]) -> None:
@@ -734,28 +566,31 @@ class TenantRegistry:
     def _check_open(self) -> None:
         if self._closed:
             raise RuntimeError("tenant registry is closed")
+        if self.service.closed:
+            raise RuntimeError("service is closed")
 
     def close(self) -> None:
-        """Drain pending slices, stop the dispatchers.  Idempotent.
+        """Flush, then unhook from the service.  Idempotent.
 
         Does not close the underlying service (the registry is a guest
         on it) and does not evict tenants — close then reopen loses only
-        the in-memory maps of tenants never persisted.
+        the in-memory maps of tenants never persisted.  Raises what the
+        flush raises, after unhooking; either close order works.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-        self._stopped = True
-        for cv in self._shard_cvs:
-            with cv:
-                cv.notify_all()
-        for thread in self._dispatchers:
-            thread.join(timeout=10.0)
-        if self.service.pressure.on_pressure == self._on_pressure:
-            self.service.pressure.on_pressure = None
-        if self.service.tenant_registry is self:
-            self.service.tenant_registry = None
+            tenants = list(self._tenants.values())
+        try:
+            self.service.flush()
+        finally:
+            for tenant in tenants:
+                self.service.lanes.pop(tenant.slot, None)
+            if self.service.pressure.on_pressure == self._on_pressure:
+                self.service.pressure.on_pressure = None
+            if self.service.tenant_registry is self:
+                self.service.tenant_registry = None
 
     def __enter__(self) -> "TenantRegistry":
         return self

@@ -9,6 +9,8 @@ compaction through both worker backends and fold the trees with
 """
 
 import random
+import threading
+import time
 
 import pytest
 
@@ -163,6 +165,46 @@ class TestTenantAccounting:
                 assert_zero_drift(service)
                 registry.restore("robot-a")
                 assert_zero_drift(service)
+
+
+    def test_queued_tenant_slices_are_accounted_under_queues(self, workers):
+        """Slices waiting behind a stalled shard are bytes the service
+        holds: they show under ``queues`` (incremental == exact) until
+        applied, whichever map they belong to."""
+        batches = random_batches(seed=9, batches=4)
+        with make_service(workers, coalesce=1) as service:
+            gate = threading.Event()
+            parked = {}  # shard id -> observations held in the gate
+            apply_to_shard = service.map.apply_to_shard
+
+            def gated(shard_id, observations, tenant=0):
+                parked[shard_id] = len(observations)
+                assert gate.wait(timeout=30.0), "gate never released"
+                return apply_to_shard(shard_id, observations, tenant=tenant)
+
+            service.map.apply_to_shard = gated
+            with TenantRegistry(service) as registry:
+                try:
+                    registry.create("robot-a")
+                    for batch in batches:
+                        registry.submit_observations(
+                            "robot-a", batch, must_accept=True
+                        )
+                    deadline = time.monotonic() + 10.0
+                    while len(parked) < 2 and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                    assert len(parked) == 2, "both shard workers should park"
+                    queues = assert_zero_drift(service).child("queues")
+                    waiting = sum(len(batch) for batch in batches) - sum(
+                        parked.values()
+                    )
+                    assert waiting > 0
+                    assert queues.total_bytes == waiting * OBS_BYTES
+                finally:
+                    gate.set()
+                registry.flush()
+                queues = assert_zero_drift(service).child("queues")
+                assert queues.total_bytes == 0
 
 
 class TestChangeLogAccounting:

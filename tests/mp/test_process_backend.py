@@ -81,11 +81,11 @@ class GatedApply:
         self.entered = threading.Event()
         self.gate = threading.Event()
 
-    def __call__(self, shard_id, observations):
+    def __call__(self, shard_id, observations, tenant=0):
         if shard_id == self.shard_id:
             self.entered.set()
             assert self.gate.wait(timeout=10.0), "gate never released"
-        return self.original(shard_id, observations)
+        return self.original(shard_id, observations, tenant=tenant)
 
 
 class TestBitExactAgreement:

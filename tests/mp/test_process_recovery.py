@@ -136,7 +136,7 @@ class TestSupervisorLiveness:
         apply) must not be double-counted."""
         applied = []
 
-        def recovery_source(shard_id):
+        def recovery_source(shard_id, tenant=0):
             return None, [list(batch) for batch in applied]
 
         pmap = ProcessShardedMap(

@@ -225,7 +225,7 @@ class TestIntrospection:
     def test_inert_seams_exist_on_every_backend(self, backend):
         assert backend.relay_tracer is None
         assert backend.recovery_source(0) == (None, [])
-        assert backend.tenant_recovery_source(TENANT, 0) == (None, [])
+        assert backend.recovery_source(0, TENANT) == (None, [])
         assert callable(backend.kill_shard_process)
 
 

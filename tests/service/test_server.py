@@ -136,9 +136,9 @@ class TestBackpressure:
         """Make every shard apply slow so queues actually fill."""
         original = service.map.apply_to_shard
 
-        def slowed(shard_id, observations):
+        def slowed(shard_id, observations, tenant=0):
             time.sleep(delay)
-            return original(shard_id, observations)
+            return original(shard_id, observations, tenant=tenant)
 
         service.map.apply_to_shard = slowed
 
@@ -205,7 +205,7 @@ class TestLifecycle:
     def test_worker_error_surfaces_on_flush_not_hang(self):
         service = make_service(num_shards=1, coalesce=1)
 
-        def explode(shard_id, observations):
+        def explode(shard_id, observations, tenant=0):
             raise RuntimeError("shard apply failed")
 
         service.map.apply_to_shard = explode
@@ -228,9 +228,9 @@ class TestLifecycle:
             gate = threading.Event()
             original = service.map.apply_to_shard
 
-            def gated(shard_id, observations):
+            def gated(shard_id, observations, tenant=0):
                 gate.wait(timeout=5.0)
-                return original(shard_id, observations)
+                return original(shard_id, observations, tenant=tenant)
 
             service.map.apply_to_shard = gated
             for seed in range(6):

@@ -4,6 +4,11 @@
 atexit hook during interpreter teardown, and must leave nothing running:
 worker threads joined, and (process mode) every child process dead.  A
 service used as a context manager and then closed again must not raise.
+
+With a tenant registry mounted the contract covers every lane: the
+service's workers are the only ingest threads, either close order drains
+tenant slices before the map goes away, and a parked worker error is
+raised — once — by whichever close runs first.
 """
 
 import os
@@ -14,6 +19,7 @@ import threading
 import pytest
 
 from repro.service.server import OccupancyMapService, ServiceConfig
+from repro.tenancy import TenantRegistry
 
 BACKENDS = ["thread", "process"]
 
@@ -143,3 +149,70 @@ class TestCloseContract:
         with ProcessShardedMap(resolution=0.1, depth=6, num_shards=2) as other:
             other.apply_to_shard(0, [((2, 2, 2), True)])
         other.close()
+
+
+CLOSE_ORDERS = ["registry_first", "service_first"]
+
+
+def in_close_order(order, service, registry):
+    if order == "registry_first":
+        return registry, service
+    return service, registry
+
+
+class TestCloseWithTenants:
+    @pytest.mark.parametrize("workers", BACKENDS)
+    @pytest.mark.parametrize("order", CLOSE_ORDERS)
+    def test_either_close_order_drains_every_lane(self, workers, order):
+        service = OccupancyMapService(make_config(workers))
+        threads_before = threading.active_count()
+        registry = TenantRegistry(service)
+        tenant = registry.create("robot-a")
+        assert threading.active_count() == threads_before
+        # Hold every apply so the slices are still queued when close runs.
+        gate = threading.Event()
+        apply_to_shard = service.map.apply_to_shard
+
+        def gated(shard_id, observations, tenant=0):
+            assert gate.wait(timeout=30.0), "gate never released"
+            return apply_to_shard(shard_id, observations, tenant=tenant)
+
+        service.map.apply_to_shard = gated
+        keys = [(i, 2 * i, 3 * i) for i in range(1, 13)]
+        for key in keys:
+            assert registry.submit_observations("robot-a", [(key, True)]).accepted
+        service.submit_observations([((5, 5, 5), True)])
+        assert tenant.outstanding == len(keys)
+        assert not any(
+            thread.name.startswith("octocache-tenant")
+            for thread in threading.enumerate()
+        )
+        threading.Timer(0.2, gate.set).start()
+        for closing in in_close_order(order, service, registry):
+            closing.close()
+        assert tenant.outstanding == 0
+        assert tenant.served_observations == len(keys)
+        assert sum(
+            tenant.store.journal_length(shard)
+            for shard in range(service.config.num_shards)
+        ) == len(keys)
+        assert service.tenant_registry is None
+        assert not any(worker.is_alive() for worker in service._workers)
+
+    @pytest.mark.parametrize("order", CLOSE_ORDERS)
+    def test_parked_tenant_error_is_raised_by_the_first_close(self, order):
+        service = OccupancyMapService(make_config("thread"))
+        registry = TenantRegistry(service)
+        registry.create("robot-a")
+
+        def explode(shard_id, observations, tenant=0):
+            raise RuntimeError("tenant apply failed")
+
+        service.map.apply_to_shard = explode
+        registry.submit_observations("robot-a", [((1, 2, 3), True)])
+        first, second = in_close_order(order, service, registry)
+        with pytest.raises(RuntimeError, match="shard worker error"):
+            first.close()
+        second.close()  # the error was reported once; this one is quiet
+        assert service.closed
+        assert service.tenant_registry is None

@@ -240,7 +240,7 @@ class TestProcessCrashRecovery:
 
     def test_process_death_lazily_restores_tenant_slots(self):
         # No evict at all: a SIGKILLed worker must transparently rebuild
-        # the tenant slots it hosted (tenant_recovery_source) before
+        # the tenant slots it hosted (map.recovery_source) before
         # serving the next request.
         with make_service("process") as service:
             with TenantRegistry(service) as registry:
