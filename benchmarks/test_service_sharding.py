@@ -66,7 +66,7 @@ def _sharded_run(stream, max_range, num_shards):
         max_range=max_range,
     )
     for batch in stream:
-        sharded.insert_observations(batch.observations)
+        sharded.insert_observations(batch)
     return sharded
 
 

@@ -451,7 +451,7 @@ def run_load_bench(
             depth,
             max_range=workload.max_range,
             kernel=kernel,
-        ).observations
+        )
         for cloud in workload
     ]
     config = ServiceConfig(

@@ -199,7 +199,7 @@ def run_mem_bench(
     batches = [
         trace_scan(
             cloud, resolution, depth, max_range=workload.max_range
-        ).observations
+        )
         for cloud in workload
     ]
 
@@ -229,9 +229,9 @@ def run_mem_bench(
             per_step = max(1, len(batches) // max(1, growth_steps))
             scans = 0
             for offset in range(0, len(batches), per_step):
-                for observations in batches[offset : offset + per_step]:
-                    service.submit_observations(observations, must_accept=True)
-                    distinct.update(key for key, _occupied in observations)
+                for batch in batches[offset : offset + per_step]:
+                    service.submit_observations(batch, must_accept=True)
+                    distinct.update(batch.unique_keys())
                     scans += 1
                 service.flush()
                 incremental, decision = service.refresh_memory_metrics()

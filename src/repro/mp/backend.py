@@ -51,6 +51,7 @@ from repro.octree.occupancy import OccupancyParams
 from repro.octree.serialize import tree_from_bytes
 from repro.octree.tree import OccupancyOctree
 from repro.resilience.recovery import ShardCheckpoint
+from repro.sensor.scaninsert import ScanBatch
 from repro.service.sharded_map import MapBackend
 from repro.telemetry.tracer import current_span_info
 
@@ -233,7 +234,7 @@ class ProcessShardedMap(MapBackend):
         self,
         shard_id: int,
         checkpoint: Optional[ShardCheckpoint],
-        batches: Sequence[Sequence[Tuple[VoxelKey, bool]]],
+        batches: Sequence[ScanBatch],
         tenant: int,
         generation: int,
     ) -> None:
@@ -294,10 +295,7 @@ class ProcessShardedMap(MapBackend):
     # ------------------------------------------------------------------
 
     def apply_to_shard(
-        self,
-        shard_id: int,
-        observations: List[Tuple[VoxelKey, bool]],
-        tenant: int = 0,
+        self, shard_id: int, batch: ScanBatch, tenant: int = 0
     ) -> float:
         """Ship one shard's slice to its process; returns busy seconds.
 
@@ -313,14 +311,14 @@ class ProcessShardedMap(MapBackend):
             "shard.ingest",
             category="service",
             shard=shard_id,
-            observations=len(observations),
+            observations=len(batch),
         ) as span:
             with self._locks[shard_id]:
                 self._ensure_ready(shard_id, tenant=tenant)
                 reply = self.supervisor.request(
                     shard_id,
                     codec.MSG_APPLY,
-                    codec.encode_observations(observations),
+                    codec.encode_observations(batch),
                     parent_span=span.span_id,
                     tenant=tenant,
                 )
@@ -362,7 +360,7 @@ class ProcessShardedMap(MapBackend):
         self,
         shard_id: int,
         checkpoint: Optional[ShardCheckpoint],
-        tail: Sequence[Sequence[Tuple[VoxelKey, bool]]],
+        tail: Sequence[ScanBatch],
         tenant: int = 0,
     ) -> None:
         """Service-driven exact restore: one ``RESTORE`` command.
@@ -373,7 +371,7 @@ class ProcessShardedMap(MapBackend):
         """
         with self._locks[shard_id]:
             generation = self.supervisor.ensure_alive(shard_id)
-            self._install(shard_id, checkpoint, list(tail), tenant, generation)
+            self._install(shard_id, checkpoint, tail, tenant, generation)
 
     def _drop_slot(self, shard_id: int, tenant: int) -> None:
         # A dead process is skipped — it holds no state to free — and

@@ -8,8 +8,9 @@ the serialize-v2 octree format (:mod:`repro.octree.serialize`), whose
 blobs ride inside snapshot/restore payloads unmodified.
 
 Nothing here touches ``pickle``: bulk voxel data moves as packed
-``array`` buffers (u32 key components + one occupancy byte per
-observation), floats as IEEE-754 doubles, and structured odds-and-ends
+little-endian numpy buffers (u32 key components + one occupancy byte
+per observation) written and read whole, with no per-item code; floats
+as IEEE-754 doubles; and structured odds-and-ends
 (stats dicts, telemetry relay events, worker config) as UTF-8 JSON.
 That keeps the protocol auditable, version-checkable, and immune to the
 arbitrary-code-execution hazard of unpickling bytes from a crashed or
@@ -25,13 +26,14 @@ from __future__ import annotations
 
 import json
 import struct
-import sys
 import zlib
-from array import array
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.octree.key import VoxelKey
+from repro.sensor.scaninsert import ScanBatch
 
 __all__ = [
     "CodecError",
@@ -215,41 +217,29 @@ def decode_frame(data: bytes) -> Frame:
 # ----------------------------------------------------------------------
 
 
-def _pack_u32(values: Sequence[int]) -> bytes:
-    arr = array("I", values)
-    if arr.itemsize != 4:  # pragma: no cover - exotic platforms only
-        arr = array("L", values)
-    if sys.byteorder == "big":  # pragma: no cover - wire is little-endian
-        arr = array(arr.typecode, arr)
-        arr.byteswap()
-    return arr.tobytes()
+def _u32_bytes(keys: np.ndarray) -> bytes:
+    """``(N, 3)`` integer keys as little-endian u32 triples; a component
+    outside u32 is refused, where a bare ``astype`` would wrap it."""
+    if keys.size and (keys.min() < 0 or keys.max() > 0xFFFFFFFF):
+        raise CodecError("key component outside the wire's u32 range")
+    return keys.astype("<u4").tobytes()
 
 
-def _unpack_u32(buffer: bytes, count: int) -> array:
-    arr = array("I")
-    if arr.itemsize != 4:  # pragma: no cover - exotic platforms only
-        arr = array("L")
-    arr.frombytes(buffer[: 4 * count])
-    if sys.byteorder == "big":  # pragma: no cover - wire is little-endian
-        arr.byteswap()
-    return arr
+def _keys_from(payload: bytes, count: int) -> np.ndarray:
+    """``count`` u32 key triples after the count word, as ``(N, 3)``."""
+    return np.frombuffer(payload, "<u4", 3 * count, _U32.size).reshape(-1, 3)
 
 
-def encode_observations(
-    observations: Sequence[Tuple[VoxelKey, bool]]
-) -> bytes:
-    """Pack ``[(key, occupied)]`` as u32 key triples + occupancy bytes."""
-    count = len(observations)
-    flat: List[int] = []
-    occ = bytearray(count)
-    for index, (key, occupied) in enumerate(observations):
-        flat.extend(key)
-        if occupied:
-            occ[index] = 1
-    return _U32.pack(count) + _pack_u32(flat) + bytes(occ)
+def encode_observations(batch: ScanBatch) -> bytes:
+    """Pack a batch as u32 key triples + occupancy bytes."""
+    return (
+        _U32.pack(len(batch))
+        + _u32_bytes(batch.keys_array())
+        + batch.occupied_array().astype(np.uint8).tobytes()
+    )
 
 
-def decode_observations(payload: bytes) -> List[Tuple[VoxelKey, bool]]:
+def decode_observations(payload: bytes) -> ScanBatch:
     """Inverse of :func:`encode_observations`."""
     if len(payload) < _U32.size:
         raise CodecError("truncated observations payload")
@@ -260,23 +250,17 @@ def decode_observations(payload: bytes) -> List[Tuple[VoxelKey, bool]]:
             f"observations payload length mismatch: expected {expected}, "
             f"got {len(payload)}"
         )
-    flat = _unpack_u32(payload[_U32.size:], 3 * count)
-    occ = payload[_U32.size + 12 * count:]
-    return [
-        (
-            (flat[3 * index], flat[3 * index + 1], flat[3 * index + 2]),
-            occ[index] != 0,
-        )
-        for index in range(count)
-    ]
+    occupied = np.frombuffer(payload, np.uint8, count, _U32.size + 12 * count)
+    return ScanBatch(
+        keys=_keys_from(payload, count).astype(np.int64), occupied=occupied != 0
+    )
 
 
 def encode_keys(keys: Sequence[VoxelKey]) -> bytes:
     """Pack a key list as u32 triples."""
-    flat: List[int] = []
-    for key in keys:
-        flat.extend(key)
-    return _U32.pack(len(keys)) + _pack_u32(flat)
+    return _U32.pack(len(keys)) + _u32_bytes(
+        np.asarray(keys, dtype=np.int64).reshape(-1, 3)
+    )
 
 
 def decode_keys(payload: bytes) -> List[VoxelKey]:
@@ -286,26 +270,17 @@ def decode_keys(payload: bytes) -> List[VoxelKey]:
     (count,) = _U32.unpack_from(payload, 0)
     if len(payload) != _U32.size + 12 * count:
         raise CodecError("keys payload length mismatch")
-    flat = _unpack_u32(payload[_U32.size:], 3 * count)
-    return [
-        (flat[3 * index], flat[3 * index + 1], flat[3 * index + 2])
-        for index in range(count)
-    ]
+    return [(x, y, z) for x, y, z in _keys_from(payload, count).tolist()]
 
 
 def encode_values(values: Sequence[Optional[float]]) -> bytes:
     """Pack query answers: presence bytes + doubles for present values."""
-    count = len(values)
-    presence = bytearray(count)
-    present: List[float] = []
-    for index, value in enumerate(values):
-        if value is not None:
-            presence[index] = 1
-            present.append(float(value))
-    arr = array("d", present)
-    if sys.byteorder == "big":  # pragma: no cover - wire is little-endian
-        arr.byteswap()
-    return _U32.pack(count) + bytes(presence) + arr.tobytes()
+    present = [value for value in values if value is not None]
+    return (
+        _U32.pack(len(values))
+        + bytes(value is not None for value in values)
+        + np.array(present, dtype="<f8").tobytes()
+    )
 
 
 def decode_values(payload: bytes) -> List[Optional[float]]:
@@ -316,21 +291,10 @@ def decode_values(payload: bytes) -> List[Optional[float]]:
     presence = payload[_U32.size: _U32.size + count]
     if len(presence) != count:
         raise CodecError("values payload length mismatch")
-    arr = array("d")
-    arr.frombytes(payload[_U32.size + count:])
-    if sys.byteorder == "big":  # pragma: no cover - wire is little-endian
-        arr.byteswap()
-    if len(arr) != sum(presence):
+    if len(payload) - _U32.size - count != 8 * sum(presence):
         raise CodecError("values payload presence/value count mismatch")
-    values: List[Optional[float]] = []
-    cursor = 0
-    for index in range(count):
-        if presence[index]:
-            values.append(arr[cursor])
-            cursor += 1
-        else:
-            values.append(None)
-    return values
+    present = iter(np.frombuffer(payload, "<f8", -1, _U32.size + count).tolist())
+    return [next(present) if flag else None for flag in presence]
 
 
 # ----------------------------------------------------------------------
@@ -377,9 +341,7 @@ def decode_reply(payload: bytes) -> Tuple[bytes, List[Dict[str, Any]]]:
 
 
 def encode_restore(
-    blob: Optional[bytes],
-    upto: int,
-    batches: Sequence[Sequence[Tuple[VoxelKey, bool]]],
+    blob: Optional[bytes], upto: int, batches: Sequence[ScanBatch]
 ) -> bytes:
     """Pack one shard-rebuild command.
 
@@ -395,7 +357,7 @@ def encode_restore(
         blob or b"",
     ]
     for batch in batches:
-        encoded = encode_observations(list(batch))
+        encoded = encode_observations(batch)
         chunks.append(_U32.pack(len(encoded)))
         chunks.append(encoded)
     return b"".join(chunks)
@@ -403,7 +365,7 @@ def encode_restore(
 
 def decode_restore(
     payload: bytes,
-) -> Tuple[Optional[bytes], int, List[List[Tuple[VoxelKey, bool]]]]:
+) -> Tuple[Optional[bytes], int, List[ScanBatch]]:
     """Inverse of :func:`encode_restore`."""
     if len(payload) < _RESTORE_HEAD.size + _U32.size:
         raise CodecError("truncated restore payload")
@@ -413,7 +375,7 @@ def decode_restore(
     offset += _U32.size
     blob = payload[offset: offset + blob_length] if has_blob else None
     offset += blob_length
-    batches: List[List[Tuple[VoxelKey, bool]]] = []
+    batches: List[ScanBatch] = []
     for _ in range(num_batches):
         if len(payload) < offset + _U32.size:
             raise CodecError("truncated restore batch")

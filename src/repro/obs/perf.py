@@ -399,7 +399,7 @@ def _multicore_samples(
     serially built map — the speedup is meaningless unless it is 1.0.
     """
     from repro.octree.merge import map_agreement
-    from repro.sensor.scaninsert import ScanBatch, trace_scan
+    from repro.sensor.scaninsert import trace_scan
     from repro.service.server import OccupancyMapService, ServiceConfig
 
     procs = max(1, min(os.cpu_count() or 1, 4))
@@ -410,7 +410,7 @@ def _multicore_samples(
     batches = [
         trace_scan(
             cloud, resolution, depth, max_range=workload.max_range
-        ).observations
+        )
         for cloud in workload
     ]
 
@@ -428,8 +428,8 @@ def _multicore_samples(
         )
         with OccupancyMapService(config) as service:
             start = time.perf_counter()
-            for observations in batches:
-                service.submit_observations(observations, must_accept=True)
+            for batch in batches:
+                service.submit_observations(batch, must_accept=True)
             service.flush()
             elapsed = time.perf_counter() - start
             snapshot = service.snapshot()
@@ -438,10 +438,8 @@ def _multicore_samples(
     serial = OctoCacheMap(
         resolution=resolution, depth=depth, max_range=workload.max_range
     )
-    for observations in batches:
-        serial.insert_batch(
-            ScanBatch(observations=list(observations), num_rays=0)
-        )
+    for batch in batches:
+        serial.insert_batch(batch)
     serial.finalize()
     speedups: List[float] = []
     agreements: List[float] = []

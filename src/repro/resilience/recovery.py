@@ -29,7 +29,6 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.octree.key import VoxelKey
 from repro.octree.serialize import tree_from_bytes, tree_to_bytes
 from repro.octree.tree import OccupancyOctree
 from repro.resilience.faults import FaultPlan
@@ -41,8 +40,6 @@ __all__ = [
     "ShardHealth",
     "restore_pipeline",
 ]
-
-Observations = Sequence[Tuple[VoxelKey, bool]]
 
 
 class ShardHealth(str, enum.Enum):
@@ -100,7 +97,7 @@ class CheckpointStore:
         self.directory = directory
         self.fault_plan = fault_plan or FaultPlan()
         self._locks = [threading.Lock() for _ in range(num_shards)]
-        self._journals: List[List[List[Tuple[VoxelKey, bool]]]] = [
+        self._journals: List[List[ScanBatch]] = [
             [] for _ in range(num_shards)
         ]
         self._checkpoints: List[Optional[ShardCheckpoint]] = [
@@ -120,17 +117,17 @@ class CheckpointStore:
     # Journal.
     # ------------------------------------------------------------------
 
-    def append(self, shard_id: int, observations: Observations) -> int:
+    def append(self, shard_id: int, batch: ScanBatch) -> int:
         """Journal one accepted batch; returns its 0-based entry index.
 
         Called by the shard worker *before* applying the batch, so the
-        journal always covers at least everything the map contains.
+        journal always covers at least everything the map contains.  The
+        entry is the batch itself, not a copy: batches are immutable.
         """
-        entry = list(observations)
         with self._locks[shard_id]:
             journal = self._journals[shard_id]
-            journal.append(entry)
-            self._journal_obs[shard_id] += len(entry)
+            journal.append(batch)
+            self._journal_obs[shard_id] += len(batch)
             return self._bases[shard_id] + len(journal) - 1
 
     def journal_length(self, shard_id: int) -> int:
@@ -217,7 +214,7 @@ class CheckpointStore:
 
     def recovery_state(
         self, shard_id: int
-    ) -> Tuple[Optional[ShardCheckpoint], List[List[Tuple[VoxelKey, bool]]]]:
+    ) -> Tuple[Optional[ShardCheckpoint], List[ScanBatch]]:
         """The latest snapshot plus the journal entries it doesn't cover."""
         with self._locks[shard_id]:
             checkpoint = self._checkpoints[shard_id]
@@ -226,9 +223,7 @@ class CheckpointStore:
             # snapshot, so ``start - base`` is non-negative in practice
             # (clamped defensively anyway).
             offset = max(0, start - self._bases[shard_id])
-            tail = [
-                list(entry) for entry in self._journals[shard_id][offset:]
-            ]
+            tail = self._journals[shard_id][offset:]
         return checkpoint, tail
 
     def stats(self, shard_id: int) -> dict:
@@ -295,7 +290,7 @@ class CheckpointStore:
 def restore_pipeline(
     factory: Callable[[], "object"],
     checkpoint: Optional[ShardCheckpoint],
-    batches: Sequence[Observations],
+    batches: Sequence[ScanBatch],
 ):
     """Rebuild one shard pipeline from a snapshot plus journal replay.
 
@@ -320,8 +315,6 @@ def restore_pipeline(
             )
         pipeline._tree = tree
         pipeline.cache.backend = tree
-    for observations in batches:
-        pipeline.insert_batch(
-            ScanBatch(observations=list(observations), num_rays=0)
-        )
+    for batch in batches:
+        pipeline.insert_batch(batch)
     return pipeline

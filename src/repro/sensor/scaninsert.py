@@ -21,11 +21,11 @@ observations lazily only when a consumer asks for them.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from repro.octree.key import VoxelKey
+from repro.octree.key import VoxelKey, keys_to_morton
 from repro.sensor.pointcloud import PointCloud
 from repro.sensor.raycast import compute_ray_keys, ray_endpoint_key
 
@@ -41,11 +41,12 @@ class ScanBatch:
     Holds the stream either as a list of ``(key, occupied)`` tuples (the
     scalar tracer's output and the service wire format) or as numpy
     arrays (the vector kernels' output); whichever representation is
-    missing is built lazily on first access.  Batches are treated as
-    immutable once constructed — the derived counts
+    missing is built lazily on first access.  Batches are immutable
+    once constructed: the service's queue, journal and shard sink share
+    one batch without copies (``docs/service.md``, "A scan's life"), so
+    its arrays are read-only, and the derived counts
     (:attr:`num_occupied`, :attr:`duplication_ratio`) are computed once
-    and cached instead of re-scanning the stream on every property
-    access.
+    and cached instead of re-scanning the stream on every access.
 
     Args:
         observations: ``(key, occupied)`` pairs in ray-tracing order —
@@ -77,10 +78,40 @@ class ScanBatch:
             raise ValueError("keys and occupied arrays come together")
         self._observations = observations
         self.num_rays = num_rays
-        self._keys = keys
-        self._occupied = occupied
+        self._keys = None if keys is None else _read_only(keys)
+        self._occupied = None if occupied is None else _read_only(occupied)
         self._num_occupied: Optional[int] = None
         self._num_unique: Optional[int] = None
+
+    @classmethod
+    def coerce(
+        cls, observations: Union["ScanBatch", Iterable[Observation]]
+    ) -> "ScanBatch":
+        """A batch as is, or a ``(key, occupied)`` sequence copied into
+        one — the platform's public entry points call this once."""
+        if isinstance(observations, cls):
+            return observations
+        return cls(observations=list(observations))
+
+    @classmethod
+    def concat(cls, batches: Sequence["ScanBatch"]) -> "ScanBatch":
+        """The batches' streams end to end, as one batch."""
+        if len(batches) == 1:
+            return batches[0]
+        return cls(
+            keys=np.concatenate([batch.keys_array() for batch in batches]),
+            occupied=np.concatenate(
+                [batch.occupied_array() for batch in batches]
+            ),
+        )
+
+    def take(self, selector: np.ndarray) -> "ScanBatch":
+        """The observations picked by an index array or a boolean mask,
+        in the order the selector gives (stream order, for a mask)."""
+        return ScanBatch(
+            keys=self.keys_array()[selector],
+            occupied=self.occupied_array()[selector],
+        )
 
     def __len__(self) -> int:
         if self._observations is not None:
@@ -101,27 +132,26 @@ class ScanBatch:
     def keys_array(self) -> np.ndarray:
         """Voxel keys as an ``(M, 3)`` int64 array; built on demand."""
         if self._keys is None:
-            self._keys = np.array(
-                [key for key, _occupied in self._observations],
-                dtype=np.int64,
-            ).reshape(-1, 3)
+            self._keys = _read_only(
+                np.array(
+                    [key for key, _occupied in self._observations],
+                    dtype=np.int64,
+                ).reshape(-1, 3)
+            )
         return self._keys
 
     def occupied_array(self) -> np.ndarray:
         """Occupied flags as an ``(M,)`` bool array; built on demand."""
         if self._occupied is None:
             count = len(self._observations)
-            self._occupied = np.fromiter(
-                (occupied for _key, occupied in self._observations),
-                dtype=bool,
-                count=count,
+            self._occupied = _read_only(
+                np.fromiter(
+                    (occupied for _key, occupied in self._observations),
+                    dtype=bool,
+                    count=count,
+                )
             )
         return self._occupied
-
-    @property
-    def has_arrays(self) -> bool:
-        """Whether the array representation already exists (no build cost)."""
-        return self._keys is not None
 
     @property
     def num_occupied(self) -> int:
@@ -148,9 +178,7 @@ class ScanBatch:
     def duplication_ratio(self) -> float:
         """Total observations per distinct voxel (paper §3.1); cached."""
         if self._num_unique is None:
-            if self._keys is not None and self._observations is None:
-                from repro.octree.key import keys_to_morton
-
+            if self._keys is not None:
                 self._num_unique = (
                     int(np.unique(keys_to_morton(self._keys)).shape[0])
                     if self._keys.shape[0]
@@ -164,6 +192,13 @@ class ScanBatch:
         return (
             f"ScanBatch(observations={len(self)}, num_rays={self.num_rays})"
         )
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A view of ``array`` that refuses in-place writes."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 def trace_scan(

@@ -76,7 +76,12 @@ from repro.resilience.faults import FaultPlan, InjectedCrash
 from repro.resilience.policy import Deadline, DeadlineExceeded, RetryPolicy
 from repro.resilience.recovery import CheckpointStore, ShardHealth
 from repro.sensor.pointcloud import PointCloud
-from repro.sensor.scaninsert import trace_scan, trace_scan_rt
+from repro.sensor.scaninsert import (
+    Observation,
+    ScanBatch,
+    trace_scan,
+    trace_scan_rt,
+)
 from repro.service.metrics import MetricsRegistry
 from repro.service.sharded_map import ShardedMap
 from repro.service.sharding import ShardRouter
@@ -147,9 +152,9 @@ class ServiceConfig:
             shape between apply attempts.
         retry_seed: RNG seed for backoff jitter (per-shard offset is
             added); ``None`` for nondeterministic jitter.
-        snapshot_interval: applied batches between shard checkpoints;
-            0 disables checkpointing (recovery then replays the whole
-            journal).
+        snapshot_interval: applied slices (however coalesced) between
+            shard checkpoints; 0 disables checkpointing (recovery then
+            replays the whole journal).
         max_recoveries: rebuilds a shard may undergo before it is
             declared ``dead`` and starts discarding its traffic.
         checkpoint_dir: when set, shard snapshots are also persisted as
@@ -305,7 +310,7 @@ def _no_hook(*_args) -> None:
 @dataclass(eq=False)
 class IngestLane:
     """One map's seat on the ingest plane: what a shard worker needs to
-    know about a queued slice besides its observations.  Lanes differ
+    know about a queued slice besides its batch.  Lanes differ
     only in this data, never in the code that serves them.
 
     Attributes:
@@ -315,7 +320,7 @@ class IngestLane:
         store: where the lane's slices are journaled and checkpointed.
         on_dequeue: ``(lane, shard_id, slices)``, called as a turn leaves
             the queue — frees capacity that bounds *queued* work.
-        on_done: ``(lane, shard_id, observations, slices, applied)``,
+        on_done: ``(lane, shard_id, batch, slices, applied)``,
             called once per turn after the apply (or its failure) and
             before ``flush`` is released — the lane's own accounting.
         outstanding: enqueued-but-unfinished slices (guarded by the
@@ -333,7 +338,7 @@ class IngestLane:
 
     def __post_init__(self) -> None:
         self.span_attrs = {"tenant": self.name} if self.name else {}
-        #: Per-shard applies since the lane's last checkpoint there.
+        #: Per-shard slices applied since the lane's last checkpoint there.
         self.applied_since_snapshot = [0] * self.router.num_shards
 
 
@@ -602,7 +607,7 @@ class OccupancyMapService:
                 span.set(observations=len(batch))
             trace_seconds = span.duration
             receipt = self.submit_observations(
-                batch.observations,
+                batch,
                 trace_seconds=trace_seconds,
                 must_accept=must_accept,
                 deadline=deadline,
@@ -613,7 +618,7 @@ class OccupancyMapService:
 
     def submit_observations(
         self,
-        observations: Sequence[Tuple[VoxelKey, bool]],
+        observations: Union[ScanBatch, Sequence[Observation]],
         trace_seconds: float = 0.0,
         must_accept: bool = False,
         deadline: Union[None, float, Deadline] = None,
@@ -634,6 +639,7 @@ class OccupancyMapService:
         an anonymous stamp taken now).
         """
         self._check_open()
+        batch = ScanBatch.coerce(observations)
         if request_context is None:
             request_context = _ambient_context()
         if not isinstance(deadline, Deadline):
@@ -646,11 +652,11 @@ class OccupancyMapService:
         enqueued = 0
         rejected = 0
         with self.tracer.span(
-            "ingest.enqueue", category="service", observations=len(observations)
+            "ingest.enqueue", category="service", observations=len(batch)
         ) as span:
-            targets, failed = self.route(self.default_lane, observations)
+            targets, failed = self.route(self.default_lane, batch)
             # Phase 1: reserve a queue slot on every live target shard.
-            reserved: List[Tuple[int, List[Tuple[VoxelKey, bool]]]] = []
+            reserved: List[Tuple[int, ScanBatch]] = []
             try:
                 for shard_id, part in targets:
                     if self._reserve_slot(shard_id, deadline):
@@ -674,7 +680,7 @@ class OccupancyMapService:
                 rejected = sum(len(part) for _sid, part in failed)
                 rejected += sum(len(part) for _sid, part in reserved)
                 span.set(enqueued=0, rejected=rejected)
-                self._count_rejected(len(observations), rejected)
+                self._count_rejected(len(batch), rejected)
                 raise BackpressureError(
                     f"{rejected} observation(s) could not be accepted "
                     f"atomically ({len(failed)} shard slice(s) rejected); "
@@ -686,24 +692,22 @@ class OccupancyMapService:
             enqueued = sum(len(part) for _sid, part in reserved)
             rejected = sum(len(part) for _sid, part in failed)
             span.set(enqueued=enqueued, rejected=rejected)
-        self._count_rejected(len(observations), rejected)
+        self._count_rejected(len(batch), rejected)
         return IngestReceipt(
-            observations=len(observations),
+            observations=len(batch),
             enqueued=enqueued,
             rejected=rejected,
             trace_seconds=trace_seconds,
         )
 
-    def route(
-        self, lane: IngestLane, observations: Sequence[Tuple[VoxelKey, bool]]
-    ) -> Tuple[list, list]:
+    def route(self, lane: IngestLane, batch: ScanBatch) -> Tuple[list, list]:
         """Partition a submission by the lane's router into ``(targets,
         refused)`` lists of non-empty ``(shard_id, part)``.  A slice is
         refused when its shard is dead or the ``queue.enqueue`` fault
         site drops it — decided *before* the lane reserves capacity, so
         a refusal needs no rollback."""
         targets, refused = [], []
-        for shard_id, part in enumerate(lane.router.partition(observations)):
+        for shard_id, part in enumerate(lane.router.partition(batch)):
             if not part:
                 continue
             if self._health[shard_id] is ShardHealth.DEAD:
@@ -750,7 +754,7 @@ class OccupancyMapService:
     def enqueue_slices(
         self,
         lane: IngestLane,
-        slices: Sequence[Tuple[int, List[Tuple[VoxelKey, bool]]]],
+        slices: Sequence[Tuple[int, ScanBatch]],
         request_context: Optional[Tuple[int, float]] = None,
         limit: Optional[int] = None,
     ) -> bool:
@@ -854,11 +858,7 @@ class OccupancyMapService:
                     observations=len(part),
                     **lane.span_attrs,
                 )
-            observations = (
-                parts[0][0]
-                if len(parts) == 1
-                else [obs for part, _ts, _ctx in parts for obs in part]
-            )
+            batch = ScanBatch.concat([part for part, _ts, _ctx in parts])
             applied = False
             try:
                 if self._health[shard_id] is ShardHealth.DEAD:
@@ -868,16 +868,16 @@ class OccupancyMapService:
                     continue
                 # Journal before applying: a crash mid-apply rebuilds
                 # from the journal, so accepted work is never lost.
-                lane.store.append(shard_id, observations)
+                lane.store.append(shard_id, batch)
                 with self.tracer.span(
                     "shard.apply",
                     category="service",
                     shard=shard_id,
                     parts=len(parts),
-                    observations=len(observations),
+                    observations=len(batch),
                     **lane.span_attrs,
                 ):
-                    self._apply_with_retry(shard_id, observations, lane)
+                    self._apply_with_retry(shard_id, batch, lane)
                 applied = True
                 self.tracer.count("shard.batches_applied", category="service")
                 # The batch is visible to queries now: close each slice's
@@ -912,7 +912,9 @@ class OccupancyMapService:
                         len(parts) - 1,
                         category="service",
                     )
-                lane.applied_since_snapshot[shard_id] += 1
+                # Slices, not turns: what a turn coalesces is timing, and
+                # the checkpoint cadence must not depend on it.
+                lane.applied_since_snapshot[shard_id] += len(parts)
                 interval = self.config.snapshot_interval
                 if interval and lane.applied_since_snapshot[shard_id] >= interval:
                     self.checkpoint(shard_id, lane)
@@ -939,9 +941,7 @@ class OccupancyMapService:
             finally:
                 # The lane's books first: a flush that returns sees them.
                 try:
-                    lane.on_done(
-                        lane, shard_id, observations, len(parts), applied
-                    )
+                    lane.on_done(lane, shard_id, batch, len(parts), applied)
                 except Exception as error:
                     self._park_error(error)
                 with self._outstanding_cv:
@@ -950,10 +950,7 @@ class OccupancyMapService:
                     self._outstanding_cv.notify_all()
 
     def _apply_with_retry(
-        self,
-        shard_id: int,
-        observations: List[Tuple[VoxelKey, bool]],
-        lane: IngestLane,
+        self, shard_id: int, batch: ScanBatch, lane: IngestLane
     ) -> None:
         """Apply one batch to its lane's slot, retrying with backoff.
 
@@ -972,9 +969,7 @@ class OccupancyMapService:
                         "shard.dropped_batches", category="service"
                     )
                     return
-                self.map.apply_to_shard(
-                    shard_id, observations, tenant=lane.slot
-                )
+                self.map.apply_to_shard(shard_id, batch, tenant=lane.slot)
                 return
             except InjectedCrash:
                 raise

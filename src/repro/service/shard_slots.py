@@ -15,7 +15,7 @@ a worker process serves its commands one at a time.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.core.octocache import OctoCacheMap
 from repro.memsight.report import MemoryReport
@@ -93,18 +93,13 @@ class ShardSlots:
         """The tenant slots live on one shard, ascending (0 first)."""
         return sorted(self._of_shard(shard))
 
-    def apply(
-        self, shard: int, tenant: int, observations: List[Tuple[VoxelKey, bool]]
-    ) -> float:
+    def apply(self, shard: int, tenant: int, batch: ScanBatch) -> float:
         """One cache-insert → evict → octree-update cycle on a slot.
 
         Returns the pipeline's busy seconds for the slice.
         """
         pipeline = self.get(shard, tenant)
-        record = pipeline.insert_batch(
-            ScanBatch(observations=observations, num_rays=0)
-        )
-        return pipeline.record_busy_seconds(record)
+        return pipeline.record_busy_seconds(pipeline.insert_batch(batch))
 
     def finalize_shard(self, shard: int) -> None:
         """Flush every slot's cache on one shard into its octree."""

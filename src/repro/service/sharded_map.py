@@ -26,7 +26,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import CacheConfig
 from repro.core.octocache import OctoCacheMap
@@ -41,14 +41,18 @@ from repro.resilience.faults import FaultPlan
 from repro.resilience.recovery import ShardCheckpoint, restore_pipeline
 from repro.sensor.pointcloud import PointCloud
 from repro.sensor.raycast import compute_ray_keys
-from repro.sensor.scaninsert import trace_scan, trace_scan_rt
+from repro.sensor.scaninsert import (
+    Observation,
+    ScanBatch,
+    trace_scan,
+    trace_scan_rt,
+)
 from repro.service.shard_slots import ShardSlots
 from repro.service.sharding import ShardRouter
 from repro.telemetry import get_tracer
 
 __all__ = ["MapBackend", "ShardedMap", "ShardedBatchRecord"]
 
-Observations = Sequence[Tuple[VoxelKey, bool]]
 Coord = Tuple[float, float, float]
 
 
@@ -89,7 +93,7 @@ class MapBackend:
     A transport defines these per-shard primitives — nothing else
     differs between backends (``docs/parallelism.md`` has the table):
 
-    - ``apply_to_shard(shard_id, observations, tenant=0)``: one slot's
+    - ``apply_to_shard(shard_id, batch, tenant=0)``: one slot's
       cache-insert → evict → octree-update cycle on a slice; returns the
       pipeline's busy seconds.  Checks the ``octree.update`` fault site
       first (``"drop"`` skips the slice), spans ``shard.ingest`` and
@@ -222,10 +226,12 @@ class MapBackend:
             kernel=self.kernel,
         )
         elapsed = time.perf_counter() - start
-        return self.insert_observations(batch.observations, ray_tracing=elapsed)
+        return self.insert_observations(batch, ray_tracing=elapsed)
 
     def insert_observations(
-        self, observations: Observations, ray_tracing: float = 0.0
+        self,
+        observations: Union[ScanBatch, Sequence[Observation]],
+        ray_tracing: float = 0.0,
     ) -> ShardedBatchRecord:
         """Partition pre-traced observations and apply each shard's slice.
 
@@ -233,10 +239,11 @@ class MapBackend:
         voxel's updates on one shard, in order), so accumulated values —
         and therefore every query answer — match a serially built map.
         """
+        batch = ScanBatch.coerce(observations)
         record = ShardedBatchRecord(
-            observations=len(observations), ray_tracing=ray_tracing
+            observations=len(batch), ray_tracing=ray_tracing
         )
-        for shard_id, part in enumerate(self.router.partition(observations)):
+        for shard_id, part in enumerate(self.router.partition(batch)):
             if not part:
                 continue
             record.shard_busy[shard_id] = self.apply_to_shard(shard_id, part)
@@ -542,7 +549,7 @@ class ShardedMap(MapBackend):
         self,
         shard_id: int,
         checkpoint: Optional[ShardCheckpoint],
-        tail: Sequence[Sequence[Tuple[VoxelKey, bool]]],
+        tail: Sequence[ScanBatch],
         tenant: int = 0,
     ) -> None:
         """Rebuild a slot off-lock, then :meth:`replace_shard`."""
@@ -550,26 +557,22 @@ class ShardedMap(MapBackend):
         self.replace_shard(shard_id, pipeline, tenant=tenant)
 
     def apply_to_shard(
-        self,
-        shard_id: int,
-        observations: List[Tuple[VoxelKey, bool]],
-        tenant: int = 0,
+        self, shard_id: int, batch: ScanBatch, tenant: int = 0
     ) -> float:
         """Apply a slice to a slot's pipeline under the shard lock, so
         different shards proceed in parallel."""
         if self.fault_plan.check("octree.update", shard=shard_id) == "drop":
             return 0.0
-        observations = list(observations)
         with self.tracer.span(
             "shard.ingest",
             category="service",
             shard=shard_id,
-            observations=len(observations),
+            observations=len(batch),
         ):
             # The slot is resolved under the lock: recovery may have
             # swapped in a rebuilt pipeline since the caller routed here.
             with self._locks[shard_id]:
-                return self._slots.apply(shard_id, tenant, observations)
+                return self._slots.apply(shard_id, tenant, batch)
 
     def query_keys_in_shard(
         self, shard_id: int, keys: Sequence[VoxelKey], tenant: int = 0

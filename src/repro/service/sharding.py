@@ -14,10 +14,13 @@ a shard.  Two consequences make this the right partition for the service:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import List
+
+import numpy as np
 
 from repro.core.morton import morton_encode3
-from repro.octree.key import VoxelKey, validate_key
+from repro.octree.key import VoxelKey, keys_to_morton, validate_key
+from repro.sensor.scaninsert import ScanBatch
 
 __all__ = ["ShardRouter"]
 
@@ -125,20 +128,27 @@ class ShardRouter:
         ) & 0xFFFFFFFFFFFFFFFF
         return (mixed >> 32) % self.num_shards
 
-    def partition(
-        self, observations: Iterable[Tuple[VoxelKey, bool]]
-    ) -> List[List[Tuple[VoxelKey, bool]]]:
-        """Split ``(key, occupied)`` observations into per-shard lists.
+    def partition(self, batch: ScanBatch) -> List[ScanBatch]:
+        """Split a batch into one batch per shard (empty ones included).
 
-        Observation order is preserved within each shard — all updates to
-        one voxel stay on one shard in their original order, which is what
-        makes the sharded map's accumulated values identical to a serially
-        built map's.
+        :meth:`shard_of` as one array pass over the batch's keys, then a
+        boolean mask per shard.  A mask keeps stream order, so all
+        updates to one voxel stay on one shard in their original order —
+        which is what makes the sharded map's accumulated values
+        identical to a serially built map's.  A key outside the map
+        raises as :meth:`prefix_of` does, before anything is split off.
         """
-        parts: List[List[Tuple[VoxelKey, bool]]] = [
-            [] for _ in range(self.num_shards)
+        keys = batch.keys_array()
+        bad = (keys < 0) | (keys >> self.depth != 0)
+        if bad.any():
+            first = int(np.argmax(bad.any(axis=1)))
+            validate_key(tuple(keys[first].tolist()), self.depth)
+        # uint64 arithmetic wraps, which is shard_of's 64-bit mask.
+        mixed = (
+            (keys_to_morton(keys) >> np.uint64(self._shift))
+            ^ np.uint64(self.salt)
+        ) * np.uint64(0x9E3779B97F4A7C15)
+        shard_ids = (mixed >> np.uint64(32)) % np.uint64(self.num_shards)
+        return [
+            batch.take(shard_ids == shard) for shard in range(self.num_shards)
         ]
-        shard_of = self.shard_of
-        for observation in observations:
-            parts[shard_of(observation[0])].append(observation)
-        return parts

@@ -47,13 +47,15 @@ import hashlib
 import os
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Union
 
+from repro.kernels.dedup import dedup_observations
 from repro.memsight.report import MemoryReport
 from repro.octree.key import VoxelKey
 from repro.octree.tree import OccupancyOctree
 from repro.resilience.faults import InjectedCrash
 from repro.resilience.recovery import CheckpointStore
+from repro.sensor.scaninsert import Observation, ScanBatch
 from repro.service.server import IngestLane, IngestReceipt
 from repro.service.sharding import ShardRouter
 from repro.tenancy.changelog import ChangeLog, Subscription
@@ -190,7 +192,7 @@ class TenantRegistry:
 
         registry = TenantRegistry(service)
         registry.create("robot-7")
-        registry.submit_observations("robot-7", batch.observations)
+        registry.submit_observations("robot-7", batch)
         registry.flush("robot-7")
         registry.evict("robot-7")      # persist + free shard memory
         registry.restore("robot-7")    # bit-exact rebuild
@@ -346,7 +348,7 @@ class TenantRegistry:
     def submit_observations(
         self,
         name: str,
-        observations: Sequence[Tuple[VoxelKey, bool]],
+        observations: Union[ScanBatch, Sequence[Observation]],
         must_accept: bool = False,
     ) -> TenantReceipt:
         """Admit one pre-traced scan into a tenant's map.
@@ -359,7 +361,8 @@ class TenantRegistry:
         """
         self._check_open()
         tenant = self._require_active(name)
-        total = len(observations)
+        batch = ScanBatch.coerce(observations)
+        total = len(batch)
         tenant.submitted_observations += total
         self.metrics.counter(f"tenant.submitted.{name}").inc(total)
         # The registry shares the service's ingest SLO surface: these
@@ -368,7 +371,7 @@ class TenantRegistry:
         self.service.tracer.count("ingest.requests", category="service")
         if not tenant.bucket.try_acquire(1.0):
             return self._reject(tenant, total, "rate", must_accept)
-        targets, refused = self.service.route(tenant, observations)
+        targets, refused = self.service.route(tenant, batch)
         if refused:
             return self._reject(tenant, total, "shard", must_accept)
         if not self.service.enqueue_slices(
@@ -398,7 +401,7 @@ class TenantRegistry:
         self,
         tenant: Tenant,
         shard_id: int,
-        observations: List[Tuple[VoxelKey, bool]],
+        batch: ScanBatch,
         slices: int,
         applied: bool,
     ) -> None:
@@ -406,31 +409,24 @@ class TenantRegistry:
         discarded / left to recovery, which replays it from the journal
         without passing here again."""
         if applied:
-            tenant.served_observations += len(observations)
-            self.metrics.counter(f"tenant.served.{tenant.name}").inc(
-                len(observations)
-            )
+            tenant.served_observations += len(batch)
+            self.metrics.counter(f"tenant.served.{tenant.name}").inc(len(batch))
             if tenant.changelog.active:
-                self._capture_deltas(shard_id, tenant, observations)
+                self._capture_deltas(shard_id, tenant, batch)
         self.metrics.gauge(f"tenant.pending.{tenant.name}").set(
             tenant.outstanding - slices
         )
 
     def _capture_deltas(
-        self,
-        shard_id: int,
-        tenant: Tenant,
-        part: List[Tuple[VoxelKey, bool]],
+        self, shard_id: int, tenant: Tenant, batch: ScanBatch
     ) -> None:
         """Record ``(key, post-apply value)`` for each voxel the slice
-        touched — the accumulated value a query would answer right now,
-        which is what subscribers replicate."""
-        keys: List[VoxelKey] = []
-        seen = set()
-        for key, _occupied in part:
-            if key not in seen:
-                seen.add(key)
-                keys.append(key)
+        touched, in first-touch order — the accumulated value a query
+        would answer right now, which is what subscribers replicate."""
+        unique, _occupied = dedup_observations(
+            batch.keys_array(), batch.occupied_array()
+        )
+        keys: List[VoxelKey] = [(x, y, z) for x, y, z in unique.tolist()]
         values = self.map.query_keys_in_shard(
             shard_id, keys, tenant=tenant.slot
         )

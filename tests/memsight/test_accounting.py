@@ -17,6 +17,7 @@ import pytest
 from repro.core.config import CELL_BYTES
 from repro.memsight.costs import DELTA_BYTES, OBS_BYTES
 from repro.resilience.recovery import CheckpointStore
+from repro.sensor.scaninsert import ScanBatch
 from repro.service.server import OccupancyMapService, ServiceConfig
 from repro.tenancy.changelog import ChangeLog
 from repro.tenancy.registry import TenantRegistry
@@ -237,8 +238,8 @@ class TestChangeLogAccounting:
 class TestCheckpointAccounting:
     def test_journal_bytes_and_compaction(self):
         store = CheckpointStore(num_shards=1)
-        store.append(0, [((1, 1, 1), True), ((2, 2, 2), False)])
-        store.append(0, [((3, 3, 3), True)])
+        store.append(0, ScanBatch.coerce([((1, 1, 1), True), ((2, 2, 2), False)]))
+        store.append(0, ScanBatch.coerce([((3, 3, 3), True)]))
         report = store.memory_breakdown()
         assert report.find("shard0/journal").total_bytes == 3 * OBS_BYTES
         assert report.drift_bytes(store.memory_breakdown(exact=True)) == 0
@@ -253,13 +254,13 @@ class TestCheckpointAccounting:
 
     def test_compaction_preserves_absolute_indexing(self):
         store = CheckpointStore(num_shards=1)
-        store.append(0, [((1, 1, 1), True)])
-        store.append(0, [((2, 2, 2), True)])
+        store.append(0, ScanBatch.coerce([((1, 1, 1), True)]))
+        store.append(0, ScanBatch.coerce([((2, 2, 2), True)]))
         store.write_snapshot_blob(0, b"s", upto=2)
         store.compact(0)
         # Absolute length survives compaction; new appends continue it.
         assert store.journal_length(0) == 2
-        store.append(0, [((3, 3, 3), True)])
+        store.append(0, ScanBatch.coerce([((3, 3, 3), True)]))
         assert store.journal_length(0) == 3
         checkpoint, tail = store.recovery_state(0)
         assert checkpoint.upto == 2

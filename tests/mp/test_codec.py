@@ -6,10 +6,12 @@ bit-exactly, and every structural violation (flipped bytes, truncation,
 version skew) must fail loudly with :class:`CodecError`, never misparse.
 """
 
+import numpy as np
 import pytest
 
 from repro.mp import codec
 from repro.mp.codec import CodecError
+from repro.sensor.scaninsert import ScanBatch
 
 
 class TestFrames:
@@ -93,16 +95,51 @@ class TestPayloads:
             ((0, 0, 0), False),
             ((4095, 17, 2048), True),
         ]
-        payload = codec.encode_observations(observations)
-        assert codec.decode_observations(payload) == observations
+        payload = codec.encode_observations(ScanBatch.coerce(observations))
+        assert codec.decode_observations(payload).observations == observations
+
+    def test_observation_payload_bytes_are_frozen(self):
+        """The v3 layout, byte for byte: u32 count, u32 key triples,
+        one occupancy byte each — all little-endian."""
+        batch = ScanBatch(
+            keys=np.array([[1, 2, 3], [4095, 0, 65536]], dtype=np.int64),
+            occupied=np.array([True, False]),
+        )
+        payload = codec.encode_observations(batch)
+        assert payload == bytes.fromhex(
+            "02000000"
+            "01000000" "02000000" "03000000"
+            "ff0f0000" "00000000" "00000100"
+            "01" "00"
+        )
+        decoded = codec.decode_observations(payload)
+        assert decoded.keys_array().dtype == np.int64
+        assert decoded.keys_array().tolist() == batch.keys_array().tolist()
+        assert decoded.occupied_array().tolist() == [True, False]
+        assert codec.encode_observations(decoded) == payload
+        assert codec.WIRE_VERSION == 3
 
     def test_empty_observations(self):
-        assert codec.decode_observations(codec.encode_observations([])) == []
+        empty = codec.decode_observations(
+            codec.encode_observations(ScanBatch.coerce([]))
+        )
+        assert empty.observations == []
 
     def test_observations_length_mismatch_rejected(self):
-        payload = codec.encode_observations([((1, 2, 3), True)])
+        payload = codec.encode_observations(
+            ScanBatch.coerce([((1, 2, 3), True)])
+        )
         with pytest.raises(CodecError, match="length mismatch"):
             codec.decode_observations(payload + b"\x00")
+
+    @pytest.mark.parametrize("component", [-1, 1 << 32])
+    def test_key_component_outside_u32_refused(self, component):
+        """A bare ``astype`` would wrap these onto some other voxel."""
+        batch = ScanBatch.coerce([((1, component, 3), True)])
+        with pytest.raises(CodecError, match="u32"):
+            codec.encode_observations(batch)
+        with pytest.raises(CodecError, match="u32"):
+            codec.encode_keys([(1, component, 3)])
 
     def test_keys_round_trip(self):
         keys = [(9, 8, 7), (0, 1, 2), (100, 200, 300)]
@@ -153,14 +190,22 @@ class TestRestore:
             [((1, 1, 1), True), ((2, 2, 2), False)],
             [((3, 3, 3), True)],
         ]
-        decoded = codec.decode_restore(codec.encode_restore(blob, 7, batches))
-        assert decoded == (blob, 7, batches)
+        decoded_blob, upto, tail = codec.decode_restore(
+            codec.encode_restore(
+                blob, 7, [ScanBatch.coerce(batch) for batch in batches]
+            )
+        )
+        assert (decoded_blob, upto) == (blob, 7)
+        assert [batch.observations for batch in tail] == batches
 
     def test_restore_round_trip_without_blob(self):
-        decoded = codec.decode_restore(
-            codec.encode_restore(None, 0, [[((5, 5, 5), True)]])
+        blob, upto, tail = codec.decode_restore(
+            codec.encode_restore(
+                None, 0, [ScanBatch.coerce([((5, 5, 5), True)])]
+            )
         )
-        assert decoded == (None, 0, [[((5, 5, 5), True)]])
+        assert (blob, upto) == (None, 0)
+        assert [batch.observations for batch in tail] == [[((5, 5, 5), True)]]
 
     def test_restore_trailing_bytes_rejected(self):
         payload = codec.encode_restore(b"blob", 1, [])

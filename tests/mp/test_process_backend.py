@@ -118,7 +118,9 @@ class TestBitExactAgreement:
                         if pmap.router.shard_of(obs[0]) == shard_id
                     ]
                     if share:
-                        pmap.apply_to_shard(shard_id, share)
+                        pmap.apply_to_shard(
+                            shard_id, ScanBatch.coerce(share)
+                        )
             pmap.finalize()
             snapshot = pmap.snapshot()
         serial = build_serial(batches)

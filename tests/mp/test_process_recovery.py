@@ -15,6 +15,7 @@ import time
 from repro.mp.backend import ProcessShardedMap
 from repro.octree.merge import map_agreement
 from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.sensor.scaninsert import ScanBatch
 from repro.service.server import OccupancyMapService
 
 from tests.mp.test_process_backend import (
@@ -112,7 +113,7 @@ class TestSupervisorLiveness:
             assert pmap.kill_shard_process(0)
             assert not supervisor.alive(0)
             # Next apply transparently respawns the worker.
-            pmap.apply_to_shard(0, [((1, 1, 1), True)])
+            pmap.apply_to_shard(0, ScanBatch.coerce([((1, 1, 1), True)]))
             assert supervisor.alive(0)
             assert supervisor.generation(0) > gen_before
             assert supervisor.restarts >= 1
@@ -125,7 +126,7 @@ class TestSupervisorLiveness:
         ) as pmap:
             key = (1, 1, 1)
             shard = pmap.router.shard_of(key)
-            pmap.apply_to_shard(shard, [(key, True)])
+            pmap.apply_to_shard(shard, ScanBatch.coerce([(key, True)]))
             assert pmap.query_key(key) is not None
             assert pmap.kill_shard_process(shard)
             assert pmap.query_key(key) is None
@@ -137,7 +138,7 @@ class TestSupervisorLiveness:
         applied = []
 
         def recovery_source(shard_id, tenant=0):
-            return None, [list(batch) for batch in applied]
+            return None, list(applied)
 
         pmap = ProcessShardedMap(
             resolution=RESOLUTION, depth=DEPTH, num_shards=1
@@ -146,12 +147,12 @@ class TestSupervisorLiveness:
             pmap.recovery_source = recovery_source
             batches = make_batches(num_batches=5, per_batch=25, seed=53)
             for batch in batches[:3]:
-                applied.append(batch)
-                pmap.apply_to_shard(0, batch)
+                applied.append(ScanBatch.coerce(batch))
+                pmap.apply_to_shard(0, applied[-1])
             assert pmap.kill_shard_process(0)
             for batch in batches[3:]:
-                applied.append(batch)
-                pmap.apply_to_shard(0, batch)
+                applied.append(ScanBatch.coerce(batch))
+                pmap.apply_to_shard(0, applied[-1])
             pmap.finalize()
             snapshot = pmap.snapshot()
         finally:

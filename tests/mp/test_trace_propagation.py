@@ -20,6 +20,7 @@ import time
 
 from repro.mp import codec
 from repro.mp.supervisor import ShardProcessSupervisor
+from repro.sensor.scaninsert import ScanBatch
 from repro.service.server import OccupancyMapService
 from repro.telemetry import RingBufferSink, tracing
 
@@ -119,7 +120,7 @@ class TestCorruptFrame:
 
     def exchange_apply(self, supervisor, parent_span):
         payload = codec.encode_observations(
-            [((1, 2, 3), True), ((4, 5, 6), False)]
+            ScanBatch.coerce([((1, 2, 3), True), ((4, 5, 6), False)])
         )
         reply = supervisor.request(
             0, codec.MSG_APPLY, payload, parent_span=parent_span
@@ -159,8 +160,8 @@ class TestCorruptFrame:
         supervisor = self.make_supervisor()
         try:
             batches = [
-                [((1, 1, 1), True), ((2, 2, 2), True)],
-                [((3, 3, 3), False)],
+                ScanBatch.coerce([((1, 1, 1), True), ((2, 2, 2), True)]),
+                ScanBatch.coerce([((3, 3, 3), False)]),
             ]
             reply = supervisor.request(
                 0,

@@ -40,6 +40,10 @@ def keys_of(batches):
     return {key for batch in batches for key, _ in batch}
 
 
+def as_batches(batches):
+    return [ScanBatch.coerce(batch) for batch in batches]
+
+
 def build_direct(batches):
     """The fault-free reference: insert every batch into one pipeline."""
     pipeline = make_pipeline()
@@ -64,15 +68,15 @@ class TestCheckpointStore:
 
     def test_journal_append_and_length(self):
         store = CheckpointStore(2)
-        assert store.append(0, [((1, 2, 3), True)]) == 0
-        assert store.append(0, [((4, 5, 6), False)]) == 1
-        assert store.append(1, [((7, 8, 9), True)]) == 0
+        assert store.append(0, ScanBatch.coerce([((1, 2, 3), True)])) == 0
+        assert store.append(0, ScanBatch.coerce([((4, 5, 6), False)])) == 1
+        assert store.append(1, ScanBatch.coerce([((7, 8, 9), True)])) == 0
         assert store.journal_length(0) == 2
         assert store.journal_length(1) == 1
 
     def test_snapshot_cannot_claim_unjournaled_entries(self):
         store = CheckpointStore(1)
-        store.append(0, [((1, 1, 1), True)])
+        store.append(0, ScanBatch.coerce([((1, 1, 1), True)]))
         tree = make_pipeline().octree
         with pytest.raises(ValueError, match="only journaled"):
             store.write_snapshot(0, tree, upto=5)
@@ -80,16 +84,16 @@ class TestCheckpointStore:
     def test_recovery_state_without_snapshot_replays_everything(self):
         store = CheckpointStore(1)
         batches = make_batches(num_batches=2)
-        for batch in batches:
+        for batch in as_batches(batches):
             store.append(0, batch)
         checkpoint, tail = store.recovery_state(0)
         assert checkpoint is None
-        assert tail == [list(b) for b in batches]
+        assert [entry.observations for entry in tail] == batches
 
     def test_recovery_state_with_snapshot_returns_tail_only(self):
         store = CheckpointStore(1)
         batches = make_batches(num_batches=3)
-        for batch in batches:
+        for batch in as_batches(batches):
             store.append(0, batch)
         reference = build_direct(batches[:1])
         reference.finalize()
@@ -97,21 +101,21 @@ class TestCheckpointStore:
         checkpoint, tail = store.recovery_state(0)
         assert checkpoint is not None
         assert checkpoint.upto == 1
-        assert tail == [list(b) for b in batches[1:]]
+        assert [entry.observations for entry in tail] == batches[1:]
 
     def test_snapshot_persisted_to_directory(self, tmp_path):
         store = CheckpointStore(1, directory=str(tmp_path))
         pipeline = build_direct(make_batches(num_batches=1))
         pipeline.finalize()
-        store.append(0, [((1, 1, 1), True)])
+        store.append(0, ScanBatch.coerce([((1, 1, 1), True)]))
         checkpoint = store.write_snapshot(0, pipeline.octree, upto=1)
         path = tmp_path / "shard-0.oct"
         assert path.read_bytes() == checkpoint.blob
 
     def test_stats(self):
         store = CheckpointStore(1)
-        store.append(0, [((1, 1, 1), True)])
-        store.append(0, [((2, 2, 2), False)])
+        store.append(0, ScanBatch.coerce([((1, 1, 1), True)]))
+        store.append(0, ScanBatch.coerce([((2, 2, 2), False)]))
         pipeline = make_pipeline()
         store.write_snapshot(0, pipeline.octree, upto=1)
         stats = store.stats(0)
@@ -124,8 +128,8 @@ class TestCheckpointStore:
             [FaultSpec(site="snapshot.write", mode="error", after=1)]
         )
         store = CheckpointStore(1, fault_plan=plan)
-        store.append(0, [((1, 1, 1), True)])
-        store.append(0, [((2, 2, 2), True)])
+        store.append(0, ScanBatch.coerce([((1, 1, 1), True)]))
+        store.append(0, ScanBatch.coerce([((2, 2, 2), True)]))
         tree = make_pipeline().octree
         first = store.write_snapshot(0, tree, upto=1)
         with pytest.raises(InjectedFault):
@@ -137,7 +141,7 @@ class TestRestorePipeline:
     def test_replay_only_matches_direct_build(self):
         batches = make_batches()
         direct = build_direct(batches)
-        restored = restore_pipeline(make_pipeline, None, batches)
+        restored = restore_pipeline(make_pipeline, None, as_batches(batches))
         for key in sorted(keys_of(batches)):
             assert restored.query_key(key) == pytest.approx(
                 direct.query_key(key)
@@ -150,7 +154,9 @@ class TestRestorePipeline:
         checkpoint = ShardCheckpoint(
             blob=tree_to_bytes(prefix.octree), upto=2
         )
-        restored = restore_pipeline(make_pipeline, checkpoint, batches[2:])
+        restored = restore_pipeline(
+            make_pipeline, checkpoint, as_batches(batches[2:])
+        )
         direct = build_direct(batches)
         for key in sorted(keys_of(batches)):
             assert restored.query_key(key) == pytest.approx(

@@ -29,7 +29,7 @@ WALL_BOX = ((2.5, -2.0, 0.2), (3.5, 2.0, 2.0))
 
 
 def wall_scan(seed):
-    """Observations of a wall at x = 3 m seen from the origin."""
+    """The traced batch of a wall at x = 3 m seen from the origin."""
     rng = np.random.default_rng(seed)
     points = np.column_stack(
         [
@@ -39,7 +39,7 @@ def wall_scan(seed):
         ]
     )
     cloud = PointCloud(points, origin=(0.0, 0.0, 1.0))
-    return trace_scan(cloud, RES, DEPTH, max_range=10.0).observations
+    return trace_scan(cloud, RES, DEPTH, max_range=10.0)
 
 
 def build(backend_cls):
@@ -169,7 +169,7 @@ class TestSnapshots:
 
     def test_snapshot_answers_like_live_queries(self, backend):
         snapshot = backend.snapshot()
-        keys = sorted({key for key, _occupied in wall_scan(0)})[:50]
+        keys = sorted({key for key, _occupied in wall_scan(0).observations})[:50]
         assert keys
         for key, value in backend.query_keys(keys).items():
             assert snapshot.search(key) == value
@@ -237,7 +237,7 @@ class TestTenantSlots:
     @pytest.mark.parametrize("name", sorted(BACKENDS))
     def test_finalize_flushes_live_tenant_slots(self, name):
         with build(BACKENDS[name]) as backend:
-            keys = sorted({key for key, _occupied in wall_scan(7)})
+            keys = sorted({key for key, _occupied in wall_scan(7).observations})
             before = backend.query_keys(keys, tenant=TENANT)
             assert any(value is not None for value in before.values())
             backend.finalize()

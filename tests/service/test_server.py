@@ -243,3 +243,32 @@ class TestLifecycle:
             assert coalesced > 0
         finally:
             service.close()
+
+    @pytest.mark.parametrize("coalesce", (1, 8))
+    def test_checkpoint_cadence_counts_slices_not_turns(self, coalesce):
+        """How a backlog splits into turns is timing; when the shard is
+        checkpointed must not be: six slices at ``snapshot_interval=6``
+        are one checkpoint whether they were applied in six turns or two."""
+        service = make_service(
+            num_shards=1, queue_capacity=16, coalesce=coalesce,
+            snapshot_interval=6,
+        )
+        try:
+            gate = threading.Event()
+            original = service.map.apply_to_shard
+
+            def gated(shard_id, observations, tenant=0):
+                gate.wait(timeout=5.0)
+                return original(shard_id, observations, tenant=tenant)
+
+            service.map.apply_to_shard = gated
+            for seed in range(6):
+                service.submit(wall_cloud(seed))
+            gate.set()
+            service.flush()
+            counters = service.metrics.to_dict()["counters"]
+            turns = counters["shard.batches_applied"]
+            assert turns == 6 if coalesce == 1 else turns < 6
+            assert counters["shard.snapshots"] == 1
+        finally:
+            service.close()

@@ -1,7 +1,9 @@
 """Tests for Morton-prefix shard routing."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.sensor.scaninsert import ScanBatch
 from repro.service.sharding import ShardRouter
 
 DEPTH = 8
@@ -36,15 +38,49 @@ class TestRouter:
     def test_partition_preserves_order_and_covers_all(self):
         router = ShardRouter(3, DEPTH)
         observations = [((i, 2 * i % 256, 7), i % 2 == 0) for i in range(64)]
-        parts = router.partition(observations)
+        parts = router.partition(ScanBatch.coerce(observations))
         assert len(parts) == 3
         assert sum(len(part) for part in parts) == len(observations)
         for shard_id, part in enumerate(parts):
-            for key, _occ in part:
+            for key, _occ in part.observations:
                 assert router.shard_of(key) == shard_id
             # Original (per-voxel) order preserved within the shard.
-            indices = [key[0] for key, _occ in part]
+            indices = [key[0] for key, _occ in part.observations]
             assert indices == sorted(indices)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_partition_equals_the_scalar_router(self, data):
+        """The array pass computes ``shard_of`` key for key, and each
+        part keeps stream order: re-joined by original index the parts
+        give the input back (repeated keys included)."""
+        depth = data.draw(st.sampled_from([3, 6, 12, 16, 21]))
+        router = ShardRouter(
+            data.draw(st.integers(1, 5)),
+            depth,
+            salt=data.draw(st.sampled_from([0, 1, (1 << 64) - 1, 0x9E3779B9])),
+        )
+        component = st.integers(0, (1 << depth) - 1)
+        keys = data.draw(
+            st.lists(st.tuples(component, component, component), max_size=40)
+        )
+        observations = [
+            (keys[index % len(keys)], index % 3 == 0)
+            for index in range(2 * len(keys))
+        ]
+        parts = router.partition(ScanBatch.coerce(observations))
+        assert [part.observations for part in parts] == [
+            [obs for obs in observations if router.shard_of(obs[0]) == shard]
+            for shard in range(router.num_shards)
+        ]
+
+    @pytest.mark.parametrize("bad", [(3, -1, 0), (0, 0, 1 << DEPTH)])
+    def test_partition_rejects_a_key_outside_the_map(self, bad):
+        """Same error as ``shard_of``: the key and the bounds, named."""
+        batch = ScanBatch.coerce([((1, 2, 3), True), (bad, False)])
+        with pytest.raises(ValueError, match=r"outside the map bounds") as info:
+            ShardRouter(4, DEPTH).partition(batch)
+        assert str(bad) in str(info.value) and "[0, 256)" in str(info.value)
 
     def test_spread_on_flat_scene(self):
         """A flat (constant-z) scene must still reach every shard."""

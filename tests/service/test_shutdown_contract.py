@@ -141,13 +141,14 @@ class TestCloseContract:
 
     def test_backend_close_is_idempotent_standalone(self):
         from repro.mp.backend import ProcessShardedMap
+        from repro.sensor.scaninsert import ScanBatch
 
         pmap = ProcessShardedMap(resolution=0.1, depth=6, num_shards=2)
-        pmap.apply_to_shard(0, [((1, 1, 1), True)])
+        pmap.apply_to_shard(0, ScanBatch.coerce([((1, 1, 1), True)]))
         pmap.close()
         pmap.close()
         with ProcessShardedMap(resolution=0.1, depth=6, num_shards=2) as other:
-            other.apply_to_shard(0, [((2, 2, 2), True)])
+            other.apply_to_shard(0, ScanBatch.coerce([((2, 2, 2), True)]))
         other.close()
 
 

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from repro.octree.serialize import tree_to_bytes
+from repro.sensor.scaninsert import ScanBatch
 from repro.service.server import OccupancyMapService, ServiceConfig
 from repro.service.sharding import ShardRouter
 from repro.tenancy import (
@@ -167,7 +168,9 @@ class TestQuota:
                 assert (
                     sum(
                         1
-                        for part in tenant.router.partition(batch)
+                        for part in tenant.router.partition(
+                            ScanBatch.coerce(batch)
+                        )
                         if part
                     )
                     > 1
