@@ -46,10 +46,8 @@ from repro.memsight.report import MemoryReport
 from repro.mp import codec
 from repro.mp.supervisor import ShardProcessDied, ShardProcessSupervisor
 from repro.octree.key import VoxelKey
-from repro.octree.merge import merge_tree
 from repro.octree.occupancy import OccupancyParams
 from repro.octree.serialize import tree_from_bytes
-from repro.octree.tree import OccupancyOctree
 from repro.resilience.recovery import ShardCheckpoint
 from repro.sensor.scaninsert import ScanBatch
 from repro.service.sharded_map import MapBackend
@@ -424,11 +422,9 @@ class ProcessShardedMap(MapBackend):
         overlay): no decode/encode round trip in the parent."""
         return self._exchange(shard_id, codec.MSG_SNAPSHOT, tenant=tenant)
 
-    def _merge_shard_into(
-        self, tree: OccupancyOctree, shard_id: int, tenant: int
-    ) -> None:
+    def _shard_leaves(self, shard_id: int, tenant: int):
         blob = self.shard_snapshot_blob(shard_id, tenant)
-        merge_tree(tree, tree_from_bytes(blob), strategy="overwrite")
+        return tree_from_bytes(blob).finest_leaf_arrays()
 
     def shard_stats(self, shard_id: int) -> Dict[str, Any]:
         """The default slot's stats, fetched from its process."""

@@ -37,6 +37,7 @@ from repro.core.config import CacheConfig
 from repro.mp import codec
 from repro.octree.occupancy import OccupancyParams
 from repro.octree.serialize import tree_to_bytes
+from repro.octree.tree import OccupancyOctree
 from repro.resilience.recovery import ShardCheckpoint, restore_pipeline
 from repro.service.shard_slots import ShardSlots
 from repro.telemetry.tracer import (
@@ -165,7 +166,10 @@ class _ShardWorker:
         )
 
     def snapshot(self, shard: int, tenant: int) -> bytes:
-        return tree_to_bytes(self.slots.merge_into(shard, tenant))
+        pipeline = self.slots.get(shard, tenant)
+        tree = OccupancyOctree(pipeline.resolution, pipeline.depth, pipeline.params)
+        tree.set_leaves_bulk(*self.slots.leaf_arrays(shard, tenant))
+        return tree_to_bytes(tree)
 
     def restore(self, shard: int, tenant: int, payload: bytes) -> bytes:
         blob, upto, batches = codec.decode_restore(payload)

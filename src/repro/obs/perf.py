@@ -10,11 +10,6 @@ too noisy to gate on):
   octree), the paper's headline workload.
 - ``cache_hit_ratio`` — the insert-path voxel-cache hit ratio of that
   same construction (Fig. 23's metric; deterministic).
-- ``modeled_pipeline_speedup`` — the §4.4 two-thread modeled speedup
-  (serial stage sum / modeled parallel makespan) from the measured
-  per-batch stage times.  Informational since the multiprocess backend
-  landed: the *measured* ``multicore_speedup`` supersedes it in the
-  baseline gate.
 - ``multicore_speedup`` — measured, not modeled: wall clock of the same
   pre-traced workload through a process-backed
   ``OccupancyMapService`` with one worker process vs. one per core
@@ -74,7 +69,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.octocache import OctoCacheMap
-from repro.core.pipeline_model import PipelineModel
 from repro.datasets.workload import BenchWorkload, load_bench_workload
 
 __all__ = [
@@ -91,12 +85,11 @@ __all__ = [
 ]
 
 #: Default per-metric relative tolerances for ``--update-baseline``.
-#: Throughputs swing with machine load; modeled ratios barely move.
+#: Throughputs swing with machine load; simulated ratios barely move.
 _DEFAULT_TOLERANCE = {
     "scan_insert_throughput": 0.45,
     "serve_throughput": 0.45,
     "trace_overhead_ratio": 0.40,
-    "modeled_pipeline_speedup": 0.30,
     "multicore_speedup": 0.30,
     "multicore_map_agreement": 0.0,
     "vector_ingest_speedup": 0.45,
@@ -112,7 +105,6 @@ _DEFAULT_TOLERANCE = {
 _DIRECTIONS = {
     "scan_insert_throughput": "higher",
     "cache_hit_ratio": "higher",
-    "modeled_pipeline_speedup": "higher",
     "multicore_speedup": "higher",
     "multicore_map_agreement": "higher",
     "vector_ingest_speedup": "higher",
@@ -129,7 +121,6 @@ _DIRECTIONS = {
 _UNITS = {
     "scan_insert_throughput": "obs/s",
     "cache_hit_ratio": "ratio",
-    "modeled_pipeline_speedup": "x",
     "multicore_speedup": "x",
     "multicore_map_agreement": "ratio",
     "vector_ingest_speedup": "x",
@@ -240,10 +231,9 @@ def _construction_samples(
     repeats: int,
     kernel: str = "scalar",
 ):
-    """(throughput, hit_ratio, speedup) samples from repeated builds."""
+    """(throughput, hit_ratio) samples from repeated builds."""
     throughputs: List[float] = []
     hit_ratios: List[float] = []
-    speedups: List[float] = []
     for _ in range(repeats):
         mapping = OctoCacheMap(
             resolution=resolution,
@@ -259,9 +249,7 @@ def _construction_samples(
         elapsed = time.perf_counter() - start
         observations = sum(record.observations for record in mapping.batches)
         throughputs.append(observations / elapsed if elapsed > 0 else 0.0)
-        timeline = PipelineModel.from_records(mapping.batches).simulate()
-        speedups.append(timeline.speedup)
-    return throughputs, hit_ratios, speedups
+    return throughputs, hit_ratios
 
 
 def _vector_kernel_samples(
@@ -588,12 +576,11 @@ def run_perf_bench(
     workload = load_bench_workload(
         dataset_name, ray_scale=ray_scale, max_batches=batches
     )
-    throughputs, hit_ratios, speedups = _construction_samples(
+    throughputs, hit_ratios = _construction_samples(
         workload, resolution, depth, repeats, kernel=kernel
     )
     _record(run, "scan_insert_throughput", throughputs)
     _record(run, "cache_hit_ratio", hit_ratios)
-    _record(run, "modeled_pipeline_speedup", speedups)
     _record(
         run,
         "simcache_hit_ratio",

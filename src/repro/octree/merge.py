@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from repro.octree.tree import OccupancyOctree
 
 __all__ = ["merge_tree", "merge_many", "map_agreement", "AgreementReport"]
@@ -44,19 +46,17 @@ def merge_tree(
         )
     if source.depth != destination.depth:
         raise ValueError(f"depth mismatch: {source.depth} vs {destination.depth}")
-    transferred = 0
-    params = destination.params
-    for key, value in source.iter_finest_leaves():
-        if strategy == "overwrite":
-            destination.set_leaf(key, value)
-        else:
-            existing = destination.search(key)
-            if existing is None:
-                destination.set_leaf(key, value)
-            else:
-                destination.set_leaf(key, params.accumulate(existing, value))
-        transferred += 1
-    return transferred
+    keys, values = source.finest_leaf_arrays()
+    if strategy == "accumulate":
+        params = destination.params
+        existing = np.array(destination.search_batch(keys), dtype=np.float64)
+        summed = np.minimum(
+            np.maximum(existing + values, params.min_occ), params.max_occ
+        )
+        # NaN = unknown to the destination: the source value goes in as is.
+        values = np.where(np.isnan(existing), values, summed)
+    destination.set_leaves_bulk(keys, values)
+    return len(values)
 
 
 def merge_many(
@@ -67,9 +67,7 @@ def merge_many(
     """Fold several source trees into ``destination``; returns total voxels.
 
     Sources are merged in iteration order, so with ``"overwrite"`` a later
-    source wins where sources overlap.  The sharded service exports its
-    global snapshot this way: per-shard octrees cover disjoint Morton
-    prefixes, making the order immaterial there.
+    source wins where sources overlap.
     """
     transferred = 0
     for source in sources:

@@ -22,7 +22,7 @@ from repro.octree.node import OctreeNode
 from repro.octree.occupancy import OccupancyParams
 from repro.octree.tree import OccupancyOctree
 
-__all__ = ["tree_to_bytes", "tree_from_bytes", "save_tree", "load_tree"]
+__all__ = ["tree_to_bytes", "tree_from_bytes", "leaf_count", "save_tree", "load_tree"]
 
 _MAGIC = b"ROCT"
 _VERSION = 2
@@ -69,6 +69,12 @@ def _write_node(node: OctreeNode, chunks: list) -> None:
             child = node.children[slot]
             if child is not None:
                 _write_node(child, chunks)
+
+
+def leaf_count(blob: bytes) -> int:
+    """Leaf records in a version-2 blob — the voxels it stores, a pruned
+    block counting once — from one strided pass over the child masks."""
+    return blob[_HEADER.size + _NODE.size : -_CRC.size : _NODE.size].count(0)
 
 
 def tree_from_bytes(data: bytes) -> OccupancyOctree:

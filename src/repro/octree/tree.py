@@ -15,10 +15,12 @@ pure-Python timing cannot expose.
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.morton import morton_decode3_array
 from repro.octree.key import (
     VoxelKey,
     child_index,
@@ -681,6 +683,33 @@ class OccupancyOctree:
                 for dy in range(span):
                     for dz in range(span):
                         yield ((kx + dx, ky + dy, kz + dz), value)
+
+    def finest_leaf_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The voxels of :meth:`iter_finest_leaves` as ``(N, 3)`` int64
+        keys and ``(N,)`` float64 log-odds, in ascending Morton order.
+
+        Distinct rows, the input :meth:`set_leaves_bulk` takes: how a
+        whole map is written into another tree.  Every checkpoint passes
+        its map through here, so the walk fills two flat typed buffers,
+        never a list of ``(tuple, float)`` pairs.
+        """
+        codes, values = array("Q"), array("d")
+
+        def walk(node: OctreeNode, level: int, code: int) -> None:
+            if level == 0:
+                codes.append(code)
+                values.append(node.value)
+                return
+            # A pruned node stands for eight children holding its value.
+            for slot, child in enumerate(node.children or (node,) * 8):
+                if child is not None:
+                    walk(child, level - 1, code << 3 | slot)
+
+        if self._root is not None:
+            walk(self._root, self.depth, 0)
+        keys = np.stack(morton_decode3_array(np.frombuffer(codes, dtype=np.uint64)), 1)
+        # Components are < 2**21: reinterpreting as int64 needs no copy.
+        return keys.view(np.int64), np.frombuffer(values, dtype=np.float64)
 
     def __len__(self) -> int:
         return self._num_nodes

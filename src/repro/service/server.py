@@ -71,6 +71,7 @@ from repro.memsight.rss import peak_rss_bytes, process_rss_bytes
 from repro.octree.key import VoxelKey
 from repro.octree.occupancy import OccupancyParams
 from repro.octree.rayquery import RayHit
+from repro.octree.serialize import leaf_count
 from repro.octree.tree import OccupancyOctree
 from repro.resilience.faults import FaultPlan, InjectedCrash
 from repro.resilience.policy import Deadline, DeadlineExceeded, RetryPolicy
@@ -100,6 +101,10 @@ __all__ = [
 _BACKPRESSURE_POLICIES = ("block", "reject")
 
 _WORKER_BACKENDS = ("thread", "process")
+
+#: Backoff-jitter RNG seed; each shard adds its id, so retries replay
+#: identically and shards do not back off in lockstep.
+_RETRY_JITTER_SEED = 0
 
 #: Lifecycle events (crashes, recoveries, deaths) go through here; silent
 #: until a handler is attached — ``repro.obs.configure_json_logging()``
@@ -150,8 +155,6 @@ class ServiceConfig:
         retry_attempts: total apply attempts per batch (1 = no retry).
         retry_base_delay / retry_max_delay: jittered exponential backoff
             shape between apply attempts.
-        retry_seed: RNG seed for backoff jitter (per-shard offset is
-            added); ``None`` for nondeterministic jitter.
         snapshot_interval: applied slices (however coalesced) between
             shard checkpoints; 0 disables checkpointing (recovery then
             replays the whole journal).
@@ -188,7 +191,6 @@ class ServiceConfig:
     retry_attempts: int = 3
     retry_base_delay: float = 0.002
     retry_max_delay: float = 0.1
-    retry_seed: Optional[int] = 0
     snapshot_interval: int = 16
     max_recoveries: int = 3
     checkpoint_dir: Optional[str] = None
@@ -515,11 +517,7 @@ class OccupancyMapService:
                 max_attempts=config.retry_attempts,
                 base_delay=config.retry_base_delay,
                 max_delay=config.retry_max_delay,
-                seed=(
-                    None
-                    if config.retry_seed is None
-                    else config.retry_seed + shard_id
-                ),
+                seed=_RETRY_JITTER_SEED + shard_id,
             )
             for shard_id in range(config.num_shards)
         ]
@@ -929,15 +927,18 @@ class OccupancyMapService:
                 self._kill_worker_process(shard_id)
                 raise
             except BaseException as error:
-                self._park_error(error)
-                # Surface the error (flush raises) *and* repair the
-                # shard in place: the failed batch is journaled, so the
-                # rebuild re-applies it instead of silently dropping it.
+                # Repair the shard in place (the failed batch is journaled,
+                # so the rebuild re-applies it), *then* surface the error:
+                # parking it wakes flush(), which must not raise while the
+                # shard is still mid-recovery.
                 try:
                     self._recover_shard(shard_id, error)
                 except BaseException as rebuild_error:
+                    self._park_error(error)
                     self._park_error(rebuild_error)
                     self._set_health(shard_id, ShardHealth.DEAD)
+                else:
+                    self._park_error(error)
             finally:
                 # The lane's books first: a flush that returns sees them.
                 try:
@@ -1004,13 +1005,15 @@ class OccupancyMapService:
         """
         upto = lane.store.journal_length(shard_id)
         try:
-            blob = self.map.shard_snapshot_blob(shard_id, tenant=lane.slot)
+            # Export + serialise (the expensive part) + store: all inside.
             with self.tracer.span(
                 "shard.snapshot",
                 category="service",
                 shard=shard_id,
                 **lane.span_attrs,
-            ):
+            ) as span:
+                blob = self.map.shard_snapshot_blob(shard_id, tenant=lane.slot)
+                span.set(voxels=leaf_count(blob), bytes=len(blob))
                 lane.store.write_snapshot_blob(shard_id, blob, upto)
         except InjectedCrash:
             raise

@@ -7,7 +7,7 @@ everything that reads a pipeline *as a map* is written once, here.  In
 particular the paper's §4.2 consistency rule: a resident cache cell is
 authoritative and eviction overwrites the octree, so cache + octree
 answer as one map only when the cache is overlaid on the octree
-(:meth:`ShardSlots.merge_into`, :meth:`ShardSlots.occupied_in_box`).
+(:meth:`ShardSlots.leaf_arrays`, :meth:`ShardSlots.occupied_in_box`).
 
 Nothing here locks.  The thread backend calls in under the shard's lock;
 a worker process serves its commands one at a time.
@@ -15,14 +15,14 @@ a worker process serves its commands one at a time.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.octocache import OctoCacheMap
 from repro.memsight.report import MemoryReport
 from repro.octree.iterators import occupied_keys_in_box
-from repro.octree.key import VoxelKey
-from repro.octree.merge import merge_tree
-from repro.octree.tree import OccupancyOctree
+from repro.octree.key import VoxelKey, keys_to_morton
 from repro.sensor.scaninsert import ScanBatch
 
 __all__ = ["ShardSlots"]
@@ -108,28 +108,25 @@ class ShardSlots:
 
     # -- reads: cache over octree, as one map --------------------------
 
-    def merge_into(
-        self, shard: int, tenant: int, tree: Optional[OccupancyOctree] = None
-    ) -> OccupancyOctree:
-        """Write one slot's authoritative answers into ``tree`` (a fresh
-        one when not given) and return it.
+    def leaf_arrays(self, shard: int, tenant: int) -> Tuple[np.ndarray, np.ndarray]:
+        """What one slot *is* as a map: ``(keys (N, 3), values (N,))``.
 
-        The slot's octree first, then its resident cache cells over it:
-        exactly the accumulated values the slot would answer queries
-        with right now.  Slots hold disjoint voxels, so merging several
-        into one tree is their plain union.
+        The octree's finest leaves with the resident cache cells over
+        them — exactly the accumulated values the slot would answer
+        queries with right now, one row per voxel, the input
+        ``set_leaves_bulk`` takes.  Slots hold disjoint voxels, so
+        writing several into one tree is their plain union.
         """
         pipeline = self.get(shard, tenant)
-        if tree is None:
-            tree = OccupancyOctree(
-                resolution=pipeline.resolution,
-                depth=pipeline.depth,
-                params=pipeline.params,
-            )
-        merge_tree(tree, pipeline.octree, strategy="overwrite")
-        for key, value in pipeline.cache.iter_cells():
-            tree.set_leaf(key, value)
-        return tree
+        keys, values = pipeline.octree.finest_leaf_arrays()
+        cells = list(pipeline.cache.iter_cells())
+        cell_keys = np.array([key for key, _ in cells], np.int64).reshape(-1, 3)
+        cell_values = np.array([value for _, value in cells], dtype=np.float64)
+        fresh = ~np.isin(keys_to_morton(keys), keys_to_morton(cell_keys))
+        return (
+            np.concatenate([keys[fresh], cell_keys]),
+            np.concatenate([values[fresh], cell_values]),
+        )
 
     def occupied_in_box(
         self, shard: int, tenant: int, min_key: VoxelKey, max_key: VoxelKey

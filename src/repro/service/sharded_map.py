@@ -104,8 +104,8 @@ class MapBackend:
       a query is a function call (nothing is read behind the first
       hit), one batch per shard where it would be a round trip.
     - ``_box_in_shard(shard_id, min_key, max_key)``: occupied keys in an
-      inclusive key box, any order; ``_merge_shard_into(tree, shard_id,
-      tenant)``: one slot's authoritative answers written into ``tree``.
+      inclusive key box, any order; ``_shard_leaves(shard_id, tenant)``:
+      one slot's authoritative answers as ``(keys, values)`` leaf arrays.
     - ``shard_stats(shard_id)`` and ``_slot_memory(shard_id, exact,
       deep)``: the default slot's stats / every live slot's footprint by
       tenant, in the shapes :class:`ShardSlots` gives them — so the
@@ -399,7 +399,7 @@ class MapBackend:
         """
         tree = self._new_tree()
         for shard_id in range(self.num_shards):
-            self._merge_shard_into(tree, shard_id, tenant)
+            tree.set_leaves_bulk(*self._shard_leaves(shard_id, tenant))
         return tree
 
     def shard_snapshot_tree(
@@ -411,7 +411,7 @@ class MapBackend:
         values the slot would answer queries with right now.
         """
         tree = self._new_tree()
-        self._merge_shard_into(tree, shard_id, tenant)
+        tree.set_leaves_bulk(*self._shard_leaves(shard_id, tenant))
         return tree
 
     def shard_snapshot_blob(self, shard_id: int, tenant: int = 0) -> bytes:
@@ -592,13 +592,10 @@ class ShardedMap(MapBackend):
         with self._locks[shard_id]:
             return self._slots.occupied_in_box(shard_id, 0, min_key, max_key)
 
-    def _merge_shard_into(
-        self, tree: OccupancyOctree, shard_id: int, tenant: int
-    ) -> None:
-        # Straight into the caller's tree under the lock: a whole-map
-        # snapshot never holds an intermediate per-shard copy.
+    def _shard_leaves(self, shard_id: int, tenant: int):
+        # Only the read holds the lock; the caller's bulk write does not.
         with self._locks[shard_id]:
-            self._slots.merge_into(shard_id, tenant, tree)
+            return self._slots.leaf_arrays(shard_id, tenant)
 
     def shard_stats(self, shard_id: int) -> Dict[str, object]:
         """The default slot's stats, read under the shard lock."""

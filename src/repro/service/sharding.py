@@ -102,14 +102,13 @@ class ShardRouter:
         self._shift = 3 * (depth - prefix_levels)
 
     def prefix_of(self, key: VoxelKey) -> int:
-        """The routing prefix: the top ``prefix_levels`` 3-bit groups."""
-        try:
-            return morton_encode3(key[0], key[1], key[2]) >> self._shift
-        except ValueError:
-            # Name the key and the map bounds instead of surfacing the
-            # encoder's bare coordinate error.
-            validate_key(key, self.depth)
-            raise
+        """The routing prefix: the top ``prefix_levels`` 3-bit groups.
+
+        A key outside the map raises (key and bounds named): bits above
+        ``depth`` would otherwise alias it onto another block's prefix.
+        """
+        validate_key(key, self.depth)
+        return morton_encode3(key[0], key[1], key[2]) >> self._shift
 
     def shard_of(self, key: VoxelKey) -> int:
         """Shard index owning ``key`` (deterministic, 0-based).

@@ -19,7 +19,6 @@ from repro.obs.perf import (
 REQUIRED_METRICS = {
     "scan_insert_throughput",
     "cache_hit_ratio",
-    "modeled_pipeline_speedup",
     "multicore_speedup",
     "multicore_map_agreement",
     "simcache_hit_ratio",

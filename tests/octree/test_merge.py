@@ -1,8 +1,10 @@
 """Tests for octree merging and map comparison."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.octree.merge import map_agreement, merge_many, merge_tree
+from repro.octree.serialize import tree_to_bytes
 from repro.octree.tree import OccupancyOctree
 
 DEPTH = 6
@@ -114,6 +116,50 @@ class TestMerge:
             merge_tree(a, OccupancyOctree(resolution=0.1, depth=DEPTH - 1))
         with pytest.raises(ValueError):
             merge_tree(a, make_tree(), strategy="replace-all")
+
+
+def merge_per_key(destination, source, strategy):
+    """The reference: one root round trip per source voxel."""
+    params = destination.params
+    for key, value in source.iter_finest_leaves():
+        existing = destination.search(key)
+        if strategy == "accumulate" and existing is not None:
+            value = params.accumulate(existing, value)
+        destination.set_leaf(key, value)
+
+
+# A 3-voxel cube: runs of observations saturate (clamp), some voxels
+# stay unknown to one side, and an octant can reach one value (prune).
+UPDATES = st.lists(
+    st.tuples(st.tuples(*[st.integers(0, 2)] * 3), st.booleans()), max_size=120
+)
+SATURATED_OCTANT = [
+    ((x, y, z), True) for x in (0, 1) for y in (0, 1) for z in (0, 1)
+] * 5
+
+
+class TestAgainstPerKeyReference:
+    @pytest.mark.parametrize("strategy", ["accumulate", "overwrite"])
+    @settings(max_examples=60, deadline=None)
+    @given(ours=UPDATES, theirs=UPDATES)
+    # A pruned source over a pruned destination with one voxel driven free.
+    @example(ours=SATURATED_OCTANT + [((1, 0, 1), False)] * 9, theirs=SATURATED_OCTANT)
+    def test_bulk_merge_builds_the_tree_the_per_key_loop_builds(
+        self, strategy, ours, theirs
+    ):
+        merged, reference, source = make_tree(), make_tree(), make_tree()
+        for tree, updates in [(merged, ours), (reference, ours), (source, theirs)]:
+            tree.update_batch(updates)
+        merged.enable_change_tracking()
+        reference.enable_change_tracking()
+
+        moved = merge_tree(merged, source, strategy=strategy)
+        merge_per_key(reference, source, strategy)
+
+        assert moved == sum(1 for _ in source.iter_finest_leaves())
+        assert tree_to_bytes(merged) == tree_to_bytes(reference)
+        assert merged.num_nodes == merged.recount_nodes() == reference.num_nodes
+        assert merged.pop_changed_keys() == reference.pop_changed_keys()
 
 
 def b_value_for(key):

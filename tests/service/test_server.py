@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from repro.octree.merge import map_agreement
+from repro.octree.serialize import tree_from_bytes
 from repro.sensor.pointcloud import PointCloud
 from repro.service.server import (
     BackpressureError,
     OccupancyMapService,
     ServiceConfig,
 )
+from repro.telemetry import RingBufferSink, tracing
 
 RES = 0.2
 DEPTH = 8
@@ -272,3 +274,46 @@ class TestLifecycle:
             assert counters["shard.snapshots"] == 1
         finally:
             service.close()
+
+    @pytest.mark.parametrize("workers", ("thread", "process"))
+    def test_checkpoint_span_covers_export_serialize_and_store(self, workers):
+        """``shard.snapshot`` is what the trace, ``/slo`` and
+        ``trace-bench`` attribute a checkpoint to: it has to span the
+        export (the expensive part), not only the store."""
+        ring = RingBufferSink()
+        service = make_service(
+            num_shards=1, snapshot_interval=0, workers=workers, kernel="vector",
+            resolution=0.1,
+        )
+        try:
+            for seed in range(8):
+                service.submit(wall_cloud(seed, points=1500), must_accept=True)
+            service.flush()
+            export = service.map.shard_snapshot_blob
+            exports, walls = [], []
+
+            def timed_export(shard_id, tenant=0):
+                start = time.perf_counter()
+                blob = export(shard_id, tenant=tenant)
+                exports.append((time.perf_counter() - start, blob))
+                return blob
+
+            service.map.shard_snapshot_blob = timed_export
+            with tracing(ring):
+                for _ in range(3):
+                    start = time.perf_counter()
+                    assert service.checkpoint(0, service.default_lane)
+                    walls.append(time.perf_counter() - start)
+        finally:
+            service.close()
+        spans = [s for s in ring.spans if s.name == "shard.snapshot"]
+        assert len(spans) == 3
+        for span, (export_s, blob), wall in zip(spans, exports, walls):
+            assert export_s <= span.duration <= wall
+            assert span.attributes["bytes"] == len(blob)
+            assert span.attributes["voxels"] == sum(
+                1 for _ in tree_from_bytes(blob).iter_leaves()
+            ) > 100
+        # Outside the span checkpoint() only reads a journal length and
+        # bumps a counter; the best of three is free of scheduler noise.
+        assert max(s.duration / wall for s, wall in zip(spans, walls)) >= 0.9

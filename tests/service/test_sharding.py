@@ -74,13 +74,26 @@ class TestRouter:
             for shard in range(router.num_shards)
         ]
 
-    @pytest.mark.parametrize("bad", [(3, -1, 0), (0, 0, 1 << DEPTH)])
+    @pytest.mark.parametrize(
+        "bad", [(3, -1, 0), (0, 0, 1 << DEPTH), ((1 << 21) - 1, 0, 0)]
+    )
     def test_partition_rejects_a_key_outside_the_map(self, bad):
-        """Same error as ``shard_of``: the key and the bounds, named."""
+        """Array and scalar routing raise the same error — the key and
+        the bounds, named — for the same keys, including a component in
+        ``[2**depth, 2**21)`` that the encoder alone would alias."""
+        router = ShardRouter(4, DEPTH)
         batch = ScanBatch.coerce([((1, 2, 3), True), (bad, False)])
-        with pytest.raises(ValueError, match=r"outside the map bounds") as info:
-            ShardRouter(4, DEPTH).partition(batch)
-        assert str(bad) in str(info.value) and "[0, 256)" in str(info.value)
+        errors = []
+        for route in (
+            lambda: router.partition(batch),
+            lambda: router.shard_of(bad),
+            lambda: router.prefix_of(bad),
+        ):
+            with pytest.raises(ValueError, match=r"outside the map bounds") as info:
+                route()
+            errors.append(str(info.value))
+        assert len(set(errors)) == 1
+        assert str(bad) in errors[0] and "[0, 256)" in errors[0]
 
     def test_spread_on_flat_scene(self):
         """A flat (constant-z) scene must still reach every shard."""
