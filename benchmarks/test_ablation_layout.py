@@ -1,12 +1,14 @@
-"""Ablation: node-storage layout — pointer nodes vs dense arrays.
+"""Ablation: node-storage layout — pointer-sized nodes vs dense records.
 
 §2.3 of the paper surveys replacing OctoMap's pointer octree with denser
-structures.  Two layout effects are separable here:
+structures.  The tree here keeps its nodes in arrays, so a node id is an
+array slot; what a slot *costs* in the modeled memory hierarchy is the
+address space's ``node_bytes``.  Two layout effects are separable:
 
 1. **Density** — the same node-visit trace costs less when nodes are 16
-   bytes (4 per cache line, the array layout) than 48 bytes (1.3 per
-   line, C++ pointer nodes): replayed through the simulator by swapping
-   the address space's ``node_bytes``.
+   bytes (4 per cache line, a dense record) than 48 bytes (1.3 per line,
+   OctoMap's C++ pointer node): replayed through the simulator by
+   swapping ``AddressSpace(node_bytes=…)`` over the one tree's trace.
 2. **Orthogonality** — the Morton-ordering effect persists under both
    layouts: layout density and insertion order are independent levers.
 """
@@ -15,7 +17,6 @@ import numpy as np
 
 from repro.analysis.report import format_table
 from repro.core.morton import morton_encode3
-from repro.octree.arraytree import ArrayOctree
 from repro.octree.tree import OccupancyOctree
 from repro.simcache.address_space import AddressSpace
 from repro.simcache.cost_model import scaled_tx2_hierarchy
@@ -34,9 +35,9 @@ def surface_keys():
     return list(zip(x.tolist(), y.tolist(), z.tolist()))
 
 
-def trace_of(tree_cls, ordering):
+def trace_of(ordering):
     recorder = TraceRecorder()
-    tree = tree_cls(
+    tree = OccupancyOctree(
         resolution=0.1, depth=BENCH_DEPTH, visit_hook=recorder.record
     )
     for key in ordering:
@@ -57,10 +58,8 @@ def test_ablation_storage_layout(benchmark, emit):
             ("morton", morton_keys),
             ("random", shuffled),
         ):
-            # The two trees make identical visit sequences (differential
-            # tests guarantee identical topology); record from the
-            # pointer tree and cost both layouts.
-            trace, distinct = trace_of(OccupancyOctree, ordering)
+            # One visit trace per ordering, costed under both layouts.
+            trace, distinct = trace_of(ordering)
             for layout_name, node_bytes in (("pointer-48B", 48), ("array-16B", 16)):
                 space = AddressSpace(node_bytes=node_bytes)
                 # Fixed cache geometry (scaled once, for the 48B working
@@ -94,21 +93,3 @@ def test_ablation_storage_layout(benchmark, emit):
     for layout in ("pointer-48B", "array-16B"):
         ratio = results[("random", layout)] / results[("morton", layout)]
         assert ratio > 1.2, (layout, ratio)
-
-
-def test_array_tree_functional_parity(benchmark, emit):
-    """The array tree builds the identical map (spot differential)."""
-    keys = surface_keys()[:5_000]
-
-    def run():
-        pointer = OccupancyOctree(resolution=0.1, depth=BENCH_DEPTH)
-        array = ArrayOctree(resolution=0.1, depth=BENCH_DEPTH)
-        for key in keys:
-            pointer.update_node(key, True)
-            array.update_node(key, True)
-        return pointer, array
-
-    pointer, array = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert array.num_nodes == pointer.num_nodes
-    for key in keys[:500]:
-        assert array.search(key) == pointer.search(key)

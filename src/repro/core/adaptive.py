@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.baselines.interface import BatchRecord
-from repro.core.cache import VoxelCache
 from repro.core.config import CacheConfig
 from repro.core.octocache import OctoCacheMap
 from repro.octree.occupancy import OccupancyParams
@@ -97,27 +96,8 @@ class AdaptiveOctoCacheMap(OctoCacheMap):
 
     def _grow(self) -> None:
         """Double the bucket array, rehashing resident cells."""
-        old_cache = self.cache
-        new_config = CacheConfig(
-            num_buckets=old_cache.config.num_buckets * 2,
-            bucket_threshold=old_cache.config.bucket_threshold,
-            use_morton_indexing=old_cache.config.use_morton_indexing,
-        )
-        new_cache = VoxelCache(new_config, params=self.params, backend=self._tree)
-        threshold = new_config.bucket_threshold
-        for code, cell in old_cache._cell_index.items():
-            # Move the live cell object: bucket and index share it.
-            index = new_cache.bucket_index(cell[0])
-            bucket = new_cache._buckets[index]
-            bucket.append(cell)
-            if len(bucket) > threshold:
-                new_cache._overfull.add(index)
-            new_cache._cell_index[code] = cell
-            new_cache._resident += 1
-        # Carry the lifetime counters so hit-ratio reporting stays global.
-        new_cache.stats = old_cache.stats
-        self.cache = new_cache
-        self.resize_events.append(new_config.num_buckets)
+        self.cache.rebucket(self.cache.config.num_buckets * 2)
+        self.resize_events.append(self.cache.config.num_buckets)
 
     def _process_batch(self, batch: ScanBatch, record: BatchRecord) -> None:
         super()._process_batch(batch, record)

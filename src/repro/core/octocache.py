@@ -15,12 +15,10 @@ strawman hash cache of §4.2 (an ablation knob).
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-import numpy as np
+from typing import Optional
 
 from repro.baselines.interface import BatchRecord, MappingSystem
-from repro.core.cache import EvictedCell, VoxelCache
+from repro.core.cache import LeafBatch, VoxelCache
 from repro.core.config import CacheConfig
 from repro.octree.key import VoxelKey
 from repro.octree.occupancy import OccupancyParams
@@ -102,17 +100,11 @@ class OctoCacheMap(MappingSystem):
             self._apply_evicted(evicted)
         record.octree_update = watch.elapsed
 
-    def _apply_evicted(self, evicted: List[EvictedCell]) -> None:
+    def _apply_evicted(self, evicted: LeafBatch) -> None:
         """Overwrite the octree with the accumulated values of a batch."""
         tree = self._tree
-        if self.kernel == "vector" and evicted:
-            keys = np.array([cell[0] for cell in evicted], dtype=np.int64)
-            values = np.fromiter(
-                (cell[1] for cell in evicted),
-                dtype=np.float64,
-                count=len(evicted),
-            )
-            tree.set_leaves_bulk(keys, values)
+        if self.kernel == "vector":
+            tree.set_leaves_bulk(evicted.keys, evicted.values)
             return
         for key, value in evicted:
             tree.set_leaf(key, value)

@@ -25,9 +25,9 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from typing import List, Optional
+from typing import Optional
 
-from repro.core.cache import EvictedCell
+from repro.core.cache import LeafBatch
 from repro.core.octocache import OctoCacheMap
 from repro.baselines.interface import BatchRecord
 from repro.octree.key import VoxelKey
@@ -205,8 +205,8 @@ class ParallelOctoCacheMap(OctoCacheMap):
             "cache.misses", stats.misses - misses_before, category="cache"
         )
 
-        # Eviction streams per-bucket chunks into the shared buffer so the
-        # octree updater overlaps the rest of the eviction scan (§4.4).
+        # Eviction streams bucket-aligned chunks into the shared buffer so
+        # the octree updater overlaps the rest of the hand-over (§4.4).
         with self.timings.stage("cache_eviction") as watch, tracer.span(
             "cache_eviction", category="cache"
         ) as span:
@@ -217,7 +217,7 @@ class ParallelOctoCacheMap(OctoCacheMap):
         record.cache_eviction = watch.elapsed
         tracer.count("cache.evictions", record.evicted, category="cache")
 
-    def _enqueue(self, evicted: List[EvictedCell], record: BatchRecord) -> None:
+    def _enqueue(self, evicted: LeafBatch, record: BatchRecord) -> None:
         self._ensure_worker()
         with self._pending_cv:
             self._pending += 1
@@ -239,7 +239,7 @@ class ParallelOctoCacheMap(OctoCacheMap):
         """
         record = self.batches[-1] if self.batches else BatchRecord()
         evicted = self.cache.flush()
-        if evicted:
+        if len(evicted):
             record.evicted += len(evicted)
             self.tracer.count("cache.evictions", len(evicted), category="cache")
             self._enqueue(evicted, record)

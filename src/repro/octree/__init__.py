@@ -2,29 +2,25 @@
 
 This package reimplements the parts of OctoMap (Hornung et al., 2013) that
 OctoCache builds on: discrete voxel keys, log-odds occupancy updates with
-clamping, a pointer octree with max-of-children inner nodes and pruning,
+clamping, an array-backed octree with max-of-children inner nodes and pruning,
 leaf/bbox iteration, multi-resolution queries, map ray casting, binary
 serialisation, and tree merging.  The tree exposes node-visit
 instrumentation so the :mod:`repro.simcache` memory-hierarchy simulator
 can replay its access trace.
 """
 
-from repro.octree.arraytree import ArrayOctree
 from repro.octree.key import VoxelKey, coord_to_key, key_to_coord, key_to_morton
 from repro.octree.filters import connected_components, largest_component, remove_speckles
 from repro.octree.merge import map_agreement, merge_tree
 from repro.octree.pathcache import PathCachingInserter
 from repro.octree.occupancy import OccupancyParams, logodds, probability
-from repro.octree.node import OctreeNode
 from repro.octree.rayquery import RayHit, cast_ray
 from repro.octree.serialize import load_tree, save_tree, tree_from_bytes, tree_to_bytes
 from repro.octree.tree import OccupancyOctree
 
 __all__ = [
-    "ArrayOctree",
     "OccupancyOctree",
     "OccupancyParams",
-    "OctreeNode",
     "PathCachingInserter",
     "RayHit",
     "VoxelKey",

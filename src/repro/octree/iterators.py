@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Iterator, List, Tuple
 
 from repro.octree.key import VoxelKey
-from repro.octree.node import OctreeNode
 from repro.octree.tree import OccupancyOctree
 
 __all__ = ["iter_leaves_in_box", "occupied_keys_in_box", "count_occupied"]
@@ -28,41 +27,7 @@ def iter_leaves_in_box(
     for axis in range(3):
         if min_key[axis] > max_key[axis]:
             raise ValueError(f"min_key exceeds max_key on axis {axis}")
-    root = tree._root
-    if root is None:
-        return
-    stack: List[Tuple[OctreeNode, int, int, int, int]] = [
-        (root, tree.depth, 0, 0, 0)
-    ]
-    while stack:
-        node, level, kx, ky, kz = stack.pop()
-        span = 1 << level
-        if (
-            kx > max_key[0]
-            or ky > max_key[1]
-            or kz > max_key[2]
-            or kx + span - 1 < min_key[0]
-            or ky + span - 1 < min_key[1]
-            or kz + span - 1 < min_key[2]
-        ):
-            continue
-        if node.children is None:
-            yield ((kx, ky, kz), level, node.value)
-            continue
-        half = 1 << (level - 1)
-        for slot in range(8):
-            child = node.children[slot]
-            if child is None:
-                continue
-            stack.append(
-                (
-                    child,
-                    level - 1,
-                    kx + (half if slot & 4 else 0),
-                    ky + (half if slot & 2 else 0),
-                    kz + (half if slot & 1 else 0),
-                )
-            )
+    return tree.iter_leaves(min_key, max_key)
 
 
 def occupied_keys_in_box(

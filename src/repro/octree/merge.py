@@ -49,12 +49,12 @@ def merge_tree(
     keys, values = source.finest_leaf_arrays()
     if strategy == "accumulate":
         params = destination.params
-        existing = np.array(destination.search_batch(keys), dtype=np.float64)
+        existing, found = destination.search_batch(keys)
         summed = np.minimum(
             np.maximum(existing + values, params.min_occ), params.max_occ
         )
-        # NaN = unknown to the destination: the source value goes in as is.
-        values = np.where(np.isnan(existing), values, summed)
+        # Unknown to the destination: the source value goes in as is.
+        values = np.where(found, summed, values)
     destination.set_leaves_bulk(keys, values)
     return len(values)
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Tuple
 
 from repro.octree.key import VoxelKey, child_index
-from repro.octree.node import OctreeNode
 from repro.octree.tree import OccupancyOctree
 
 __all__ = ["PathCachingInserter"]
@@ -47,7 +46,8 @@ class PathCachingInserter:
 
     def __init__(self, tree: OccupancyOctree) -> None:
         self.tree = tree
-        self._path: List[OctreeNode] = []
+        #: Root-first node slots of the previous insertion's path.
+        self._path: List[int] = []
         self._key: Optional[VoxelKey] = None
         #: Node steps actually descended (the work measure F predicts).
         self.descent_steps = 0
@@ -59,45 +59,21 @@ class PathCachingInserter:
     def insert(self, key: VoxelKey, occupied: bool) -> float:
         """Apply one observation, reusing the cached path prefix."""
         tree = self.tree
-        depth = tree.depth
-        # `fresh` carries the same meaning as in the tree's own descent:
-        # the current node was created during *this* descent, so its
-        # missing children are genuinely unknown.  A resumed node always
-        # pre-existed this descent, so fresh starts False — a childless
-        # node met on the way is a pruned (or expansion-inherited) leaf
-        # whose value its descendants inherit.
-        fresh = False
-        if tree._root is None:
-            tree._root = tree._alloc(tree.params.threshold)
-            fresh = True
-        if not self._path:
-            self._path = [tree._root]
-            shared = 0
-        else:
-            shared = self._shared_depth(key)
+        tree._check_key(key)
+        path = self._path
+        if path:
             # Retract: back-propagate and prune the abandoned suffix.
-            self._retract_to(shared)
-        node = self._path[-1]
-        for level in range(depth - 1 - shared, -1, -1):
-            self.descent_steps += 1
-            tree._visit(node)
-            if node.children is None:
-                if fresh:
-                    node.children = [None] * 8
-                else:
-                    node.children = [tree._alloc(node.value) for _ in range(8)]
-            slot = child_index(key, level)
-            child = node.children[slot]
-            if child is None:
-                child = tree._alloc(tree.params.threshold)
-                node.children[slot] = child
-                fresh = True
-            node = child
-            self._path.append(node)
-        tree._visit(node)
-        node.value = tree.params.update(node.value, occupied)
+            self._retract_to(self._shared_depth(key))
+        # The tree's own descent, resumed: the node it restarts from
+        # pre-existed this descent, so a childless node met on the way
+        # is a pruned (or expansion-inherited) leaf whose value its
+        # descendants inherit.
+        self.descent_steps += tree.depth + 1 - max(len(path), 1)
+        leaf = tree._descend(key, path)[-1]
+        values = tree._mv_values
+        value = values[leaf] = tree.params.update(values[leaf], occupied)
         self._key = key
-        return node.value
+        return value
 
     def insert_batch(
         self, items: Iterable[Tuple[VoxelKey, bool]]
@@ -108,7 +84,8 @@ class PathCachingInserter:
 
     def finish(self) -> None:
         """Flush pending back-propagation; call after the batch."""
-        self._retract_to(0)
+        if self._path:
+            self._retract_to(0)
         self._path = []
         self._key = None
 
@@ -125,27 +102,15 @@ class PathCachingInserter:
     def _shared_depth(self, key: VoxelKey) -> int:
         """Depth (levels below root) shared between ``key`` and the path."""
         previous = self._key
-        if previous is None:
-            return 0
         depth = self.tree.depth
         shared = 0
         for level in range(depth - 1, -1, -1):
             if child_index(previous, level) != child_index(key, level):
                 break
             shared += 1
-        # Never reuse beyond the cached path's length (paranoia guard).
-        return min(shared, len(self._path) - 1)
+        return shared
 
     def _retract_to(self, shared: int) -> None:
         """Back-propagate and prune along the abandoned path suffix."""
-        tree = self.tree
-        keep = shared + 1  # path entries to retain (root included)
-        while len(self._path) > keep:
-            self._path.pop()
-            parent = self._path[-1]
-            tree._visit(parent)
-            if tree._try_prune(parent):
-                continue
-            parent.value = max(
-                child.value for child in parent.children if child is not None
-            )
+        self.tree._ascend(self._path, shared, revisit_leaf=False)
+        del self._path[shared + 1:]

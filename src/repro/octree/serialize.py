@@ -18,7 +18,8 @@ from __future__ import annotations
 import struct
 import zlib
 
-from repro.octree.node import OctreeNode
+import numpy as np
+
 from repro.octree.occupancy import OccupancyParams
 from repro.octree.tree import OccupancyOctree
 
@@ -30,45 +31,59 @@ _HEADER = struct.Struct("<4sBdB5d")
 # Doubles rather than OctoMap's float32: Python trees hold float64
 # log-odds, and the round trip must be lossless.
 _NODE = struct.Struct("<dB")
+_NODE_DTYPE = np.dtype([("value", "<f8"), ("mask", "u1")])
 _CRC = struct.Struct("<I")
+#: Child slots present in each 8-bit mask, last first (a stack pops them
+#: in ascending order).
+_SLOTS_DESCENDING = [
+    [slot for slot in range(7, -1, -1) if mask >> slot & 1] for mask in range(256)
+]
 
 
 def tree_to_bytes(tree: OccupancyOctree) -> bytes:
     """Serialise ``tree`` to a compact binary blob (CRC-32 protected)."""
     params = tree.params
-    chunks = [
-        _HEADER.pack(
-            _MAGIC,
-            _VERSION,
-            tree.resolution,
-            tree.depth,
-            params.threshold,
-            params.delta_occupied,
-            params.delta_free,
-            params.min_occ,
-            params.max_occ,
-        )
-    ]
-    root = tree._root
-    chunks.append(struct.pack("<B", 1 if root is not None else 0))
-    if root is not None:
-        _write_node(root, chunks)
-    payload = b"".join(chunks)
+    header = _HEADER.pack(
+        _MAGIC,
+        _VERSION,
+        tree.resolution,
+        tree.depth,
+        params.threshold,
+        params.delta_occupied,
+        params.delta_free,
+        params.min_occ,
+        params.max_occ,
+    )
+    payload = header + bytes([tree.num_nodes > 0]) + _node_records(tree)
     return payload + _CRC.pack(zlib.crc32(payload) & 0xFFFFFFFF)
 
 
-def _write_node(node: OctreeNode, chunks: list) -> None:
-    mask = 0
-    if node.children is not None:
-        for slot in range(8):
-            if node.children[slot] is not None:
-                mask |= 1 << slot
-    chunks.append(_NODE.pack(node.value, mask))
-    if node.children is not None:
-        for slot in range(8):
-            child = node.children[slot]
-            if child is not None:
-                _write_node(child, chunks)
+def _node_records(tree: OccupancyOctree) -> bytes:
+    """Every node's ``(value, child mask)`` record, in pre-order.
+
+    The nodes are gathered level by level with their Morton prefixes;
+    padding each prefix to full length and sorting by ``(prefix, depth)``
+    is the pre-order walk — a node sorts before its descendants (same
+    padded prefix or greater, deeper) and siblings sort by slot.
+    """
+    levels = list(tree._levels())
+    if not levels:
+        return b""
+    nodes = np.concatenate([nodes for nodes, _codes in levels])
+    padded = np.concatenate(
+        [
+            codes << np.uint64(3 * (tree.depth - depth))
+            for depth, (_nodes, codes) in enumerate(levels)
+        ]
+    )
+    depths = np.repeat(np.arange(len(levels)), [n.size for n, _codes in levels])
+    nodes = nodes[np.lexsort((depths, padded))]
+    records = np.empty(nodes.size, dtype=_NODE_DTYPE)
+    records["value"] = tree._values[nodes]
+    records["mask"] = np.packbits(
+        tree._children[nodes] >= 0, axis=1, bitorder="little"
+    ).ravel()
+    return records.tobytes()
 
 
 def leaf_count(blob: bytes) -> int:
@@ -119,26 +134,44 @@ def tree_from_bytes(data: bytes) -> OccupancyOctree:
     (has_root,) = struct.unpack_from("<B", data, offset)
     offset += 1
     if has_root:
-        root, offset = _read_node(tree, data, offset)
-        tree._root = root
+        offset += _read_nodes(tree, data, offset)
     if offset != len(data):
         raise ValueError(f"trailing bytes in octree blob ({len(data) - offset})")
     return tree
 
 
-def _read_node(
-    tree: OccupancyOctree, data: bytes, offset: int
-) -> "tuple[OctreeNode, int]":
-    value, mask = _NODE.unpack_from(data, offset)
-    offset += _NODE.size
-    node = tree._alloc(value)
-    if mask:
-        node.children = [None] * 8
-        for slot in range(8):
-            if mask & (1 << slot):
-                child, offset = _read_node(tree, data, offset)
-                node.children[slot] = child
-    return node, offset
+def _read_nodes(tree: OccupancyOctree, data: bytes, offset: int) -> int:
+    """Load the pre-order node stream at ``offset``; returns bytes read.
+
+    Node slots are handed out in stream order (the root is record 0),
+    so only the child links need the walk: a stack of the child cells
+    still waiting for their node, the next record always filling the
+    top one.
+    """
+    records = np.frombuffer(
+        data, dtype=_NODE_DTYPE, offset=offset,
+        count=(len(data) - offset) // _NODE.size,
+    )
+    waiting: list = []
+    used = 0
+    links = np.full(8 * len(records), -1, dtype=np.int32)
+    cells = memoryview(links)
+    for node, mask in enumerate(records["mask"].tolist()):
+        if node:
+            if not waiting:
+                break  # the tree is complete: what follows is trailing
+            cells[waiting.pop()] = node
+        used = node + 1
+        if mask:
+            base = node << 3
+            waiting.extend([base + slot for slot in _SLOTS_DESCENDING[mask]])
+    if waiting or not used:
+        raise ValueError("truncated octree blob")
+    slots = tree._alloc_many(used)
+    tree._values[slots] = records["value"][:used]
+    tree._children[slots] = links.reshape(-1, 8)[:used]
+    tree._leaf[slots] = records["mask"][:used] == 0
+    return used * _NODE.size
 
 
 def save_tree(tree: OccupancyOctree, path: str) -> None:

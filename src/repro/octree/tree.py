@@ -7,15 +7,22 @@ queries perform the root-to-leaf traversal the paper identifies as the
 bottleneck (§2.2, Figure 5): an update visits up to ``2 * depth`` nodes
 (down and back up), a query up to ``depth``.
 
+Nodes live in growable numpy arrays, not objects: ``values`` (float64
+log-odds), ``children`` (``(N, 8)`` int32 slots, −1 = absent) and a leaf
+flag, with a free list recycling the slots pruning releases.  A node *is*
+its slot index (the root is slot 0).  The scalar operations walk
+``memoryview``s of the arrays one key at a time; the bulk operations
+(:meth:`OccupancyOctree.set_leaves_bulk`, :meth:`~OccupancyOctree.search_batch`)
+walk them one *tree level* per numpy pass.
+
 Every node visit increments :attr:`OccupancyOctree.node_visits` and, when a
-visit hook is installed, reports the node's id — this trace is what the
+visit hook is installed, reports the node's slot — this trace is what the
 :mod:`repro.simcache` simulator replays to model CPU-cache behaviour that
 pure-Python timing cannot expose.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -23,12 +30,10 @@ import numpy as np
 from repro.core.morton import morton_decode3_array
 from repro.octree.key import (
     VoxelKey,
-    child_index,
     coord_to_key,
     key_to_coord,
     keys_to_morton,
 )
-from repro.octree.node import OctreeNode
 from repro.octree.occupancy import OccupancyParams
 
 __all__ = ["OccupancyOctree"]
@@ -36,6 +41,10 @@ __all__ = ["OccupancyOctree"]
 #: Approximate bytes per node, mirroring OctoMap's compact C++ node
 #: (float value + children pointer): used for memory-overhead reporting.
 NODE_BYTES = 16
+
+_INITIAL_CAPACITY = 256
+_NO_CHILDREN = memoryview(np.full(8, -1, dtype=np.int32))
+_SLOTS = np.arange(8, dtype=np.uint64)
 
 
 class OccupancyOctree:
@@ -47,8 +56,9 @@ class OccupancyOctree:
             is a cube of side ``resolution * 2**depth`` centred at the
             origin.  OctoMap's default (and the paper's "standard") is 16.
         params: occupancy-update parameters; defaults to OctoMap's.
-        visit_hook: optional callable invoked with ``node_id`` on every
-            node visit (used by the memory simulator).
+        visit_hook: optional callable invoked with the node's slot on
+            every node visit (used by the memory simulator).  Slots are
+            recycled after a prune.
     """
 
     def __init__(
@@ -67,11 +77,13 @@ class OccupancyOctree:
         self.params = params or OccupancyParams()
         self.visit_hook = visit_hook
         self.node_visits = 0
-        self._root: Optional[OctreeNode] = None
-        self._next_node_id = 0
         self._num_nodes = 0
+        #: Slots ever handed out; the root is slot 0, so 0 = empty tree.
+        self._size = 0
+        self._free: List[int] = []
         self._changed_keys: Optional[set] = None
         self._key_limit = 1 << depth
+        self._reserve(_INITIAL_CAPACITY)
 
     def _check_key(self, key: VoxelKey) -> None:
         """Reject keys outside the map: bits above ``depth`` would be
@@ -87,19 +99,54 @@ class OccupancyOctree:
             )
 
     # ------------------------------------------------------------------
-    # Node allocation and visit accounting.
+    # Node storage.  Unused slots always read "leaf, no children", so an
+    # allocation only has to write the value.
     # ------------------------------------------------------------------
 
-    def _alloc(self, value: float) -> OctreeNode:
-        node = OctreeNode(value, self._next_node_id)
-        self._next_node_id += 1
+    def _reserve(self, capacity: int) -> None:
+        """(Re)allocate the node arrays and re-take their memoryviews."""
+        size = self._size
+        values = np.empty(capacity, dtype=np.float64)
+        children = np.full((capacity, 8), -1, dtype=np.int32)
+        leaf = np.ones(capacity, dtype=bool)
+        if size:
+            values[:size] = self._values[:size]
+            children[:size] = self._children[:size]
+            leaf[:size] = self._leaf[:size]
+        self._values, self._children, self._leaf = values, children, leaf
+        self._children_flat = children.reshape(-1)
+        self._mv_values = memoryview(values)
+        self._mv_children = memoryview(self._children_flat)
+        self._mv_leaf = memoryview(leaf)
+
+    def _alloc(self, value: float) -> int:
+        """One node slot holding ``value`` (the caller reserved room)."""
         self._num_nodes += 1
+        if self._free:
+            node = self._free.pop()
+        else:
+            node = self._size
+            self._size = node + 1
+        self._mv_values[node] = value
         return node
 
-    def _visit(self, node: OctreeNode) -> None:
-        self.node_visits += 1
-        if self.visit_hook is not None:
-            self.visit_hook(node.node_id)
+    def _alloc_many(self, count: int) -> np.ndarray:
+        """``count`` node slots, recycled ones first; may re-allocate the
+        arrays, so callers re-read ``self._values`` etc. afterwards."""
+        self._num_nodes += count
+        free = self._free
+        reused = min(count, len(free))
+        fresh = count - reused
+        if self._size + fresh > len(self._values):
+            self._reserve(max(2 * len(self._values), self._size + fresh))
+        slots = np.arange(self._size, self._size + fresh, dtype=np.intp)
+        self._size += fresh
+        if reused:
+            slots = np.concatenate(
+                [np.array(free[len(free) - reused:], dtype=np.intp), slots]
+            )
+            del free[len(free) - reused:]
+        return slots
 
     # ------------------------------------------------------------------
     # Coordinate helpers.
@@ -126,14 +173,15 @@ class OccupancyOctree:
         pruning where possible.  Returns the leaf's new log-odds value.
         """
         self._check_key(key)
-        path = self._descend(key, create=True)
+        path = self._descend(key, [])
+        values = self._mv_values
         leaf = path[-1]
-        old_value = leaf.value
-        leaf.value = self.params.update(leaf.value, occupied)
+        old_value = values[leaf]
+        new_value = values[leaf] = self.params.update(old_value, occupied)
         self._ascend(path)
-        if self._changed_keys is not None and leaf.value != old_value:
+        if self._changed_keys is not None and new_value != old_value:
             self._changed_keys.add(key)
-        return leaf.value
+        return new_value
 
     def set_leaf(self, key: VoxelKey, value: float) -> None:
         """Overwrite the voxel at ``key`` with an absolute log-odds value.
@@ -143,11 +191,12 @@ class OccupancyOctree:
         octree's stale copy (paper §4.2.1).
         """
         self._check_key(key)
-        path = self._descend(key, create=True)
+        path = self._descend(key, [])
+        values = self._mv_values
         leaf = path[-1]
-        if self._changed_keys is not None and leaf.value != value:
+        if self._changed_keys is not None and values[leaf] != value:
             self._changed_keys.add(key)
-        leaf.value = value
+        values[leaf] = value
         self._ascend(path)
 
     # ------------------------------------------------------------------
@@ -206,7 +255,7 @@ class OccupancyOctree:
 
         ``keys`` is ``(M, 3)`` int64 and ``occupied`` ``(M,)`` bool.  The
         stream is grouped by unique voxel, each voxel's base is read in
-        one shared-path sweep (:meth:`search_batch`), its observation run
+        one level-wise sweep (:meth:`search_batch`), its observation run
         is folded with the vector log-odds kernel, and the finals are
         written with :meth:`set_leaves_bulk`.  The resulting tree —
         values, pruning structure and node count — is identical to the
@@ -223,33 +272,30 @@ class OccupancyOctree:
         self._check_keys_array(keys)
         occupied = np.asarray(occupied, dtype=bool)
         groups = group_observations(keys, occupied)
-        bases_list = self.search_batch(groups.keys)
-        threshold = self.params.threshold
-        bases = np.fromiter(
-            (threshold if value is None else value for value in bases_list),
-            dtype=np.float64,
-            count=len(bases_list),
-        )
+        bases, found = self.search_batch(groups.keys)
+        bases[~found] = self.params.threshold
         finals = fold_logodds(
             bases, groups.occ_sorted, groups.seg_starts, groups.counts, self.params
         )
         self.set_leaves_bulk(groups.keys, finals)
 
     def set_leaves_bulk(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Bulk :meth:`set_leaf`: same final tree, one shared-path sweep.
+        """Bulk :meth:`set_leaf`: same final tree, one pass per tree level.
 
-        ``keys`` is ``(U, 3)`` int64 with *distinct* rows, ``values`` the
-        absolute log-odds to store.  Keys are applied in Morton order, so
-        consecutive descents share their common-prefix path (the
-        traversal the paper's Morton-ordered eviction is designed to
-        exploit); max-of-children propagation and pruning are deferred
-        into one bottom-up pass over the touched interior nodes instead
-        of a full root round-trip per key.  The final tree is identical
-        to sequential :meth:`set_leaf` calls: a parent's value/prune
-        state is a function of its children's final values, which this
-        computes children-first.  Change tracking is preserved;
-        node-visit accounting is aggregate (the visit hook, a
-        scalar-path instrument, does not fire here).
+        ``keys`` is ``(U, 3)`` int64 with *distinct* rows (a repeated key
+        raises :class:`ValueError` before anything is written), ``values``
+        the absolute log-odds to store.  Keys are sorted by Morton code,
+        so the keys under one node are one contiguous run; each level then
+        handles the *distinct* path nodes at that depth in one vectorised
+        step — expand the pruned blocks met on the way into 8 inheriting
+        children, allocate the missing on-path children at the threshold,
+        gather the child slots — and after the leaf write one bottom-up
+        pass per level does max-of-children and the 8-equal-leaves prune.
+        The final tree is identical to sequential :meth:`set_leaf` calls:
+        a parent's value/prune state is a function of its children's
+        final values, which this computes children-first.  Change
+        tracking is preserved; node-visit accounting is aggregate (the
+        visit hook, a scalar-path instrument, does not fire here).
         """
         count = len(values)
         if count == 0:
@@ -258,114 +304,92 @@ class OccupancyOctree:
         self._check_keys_array(keys)
         codes = keys_to_morton(keys)
         order = np.argsort(codes, kind="stable")
-        sorted_arr = keys[order]
-        sorted_keys = sorted_arr.tolist()
-        sorted_values = np.asarray(values, dtype=np.float64)[order].tolist()
+        codes = codes[order]
+        keys = keys[order]
+        repeated = codes[1:] == codes[:-1]
+        if repeated.any():
+            key = tuple(keys[int(np.argmax(repeated))].tolist())
+            raise ValueError(f"set_leaves_bulk needs distinct keys; {key} repeats")
+        new_values = np.asarray(values, dtype=np.float64)[order]
 
         depth = self.depth
-        # Descent octants come straight out of the Morton code — bits
-        # [3L, 3L+3) are the level-L child slot — so one vectorised
-        # shift/mask replaces per-level bit fiddling inside the walk.
-        shifts = (3 * np.arange(depth - 1, -1, -1)).astype(np.uint64)
-        digit_rows = (
-            ((codes[order][:, None] >> shifts) & np.uint64(7))
-            .astype(np.int64)
-            .tolist()
-        )
-        resumes: List[int] = []
+        # shared[i]: tree levels key i's path shares with key i-1's (-1
+        # for the first), so key i starts a new node at every depth
+        # beyond it.  The frexp exponent of an exactly-represented
+        # positive integer is its bit length (coordinates are < 2**21).
+        shared = np.full(count, -1, dtype=np.int64)
         if count > 1:
-            # Shared-prefix depth of consecutive keys, vectorised: the
-            # frexp exponent of an exactly-represented positive integer
-            # is its bit length (coords are < 2**21, well inside float64
-            # exactness; rows are distinct so the XOR is never zero).
-            diff = sorted_arr[1:] ^ sorted_arr[:-1]
-            ored = (diff[:, 0] | diff[:, 1] | diff[:, 2]).astype(np.float64)
-            resumes = (depth - np.frexp(ored)[1]).tolist()
-        changed = self._changed_keys
-        threshold = self.params.threshold
-        # Allocation inlined (same node-id sequence as _alloc): the bulk
-        # walk creates thousands of nodes, and the per-call overhead of
-        # the helper plus two counter increments is measurable here.
-        node_cls = OctreeNode
-        node_id = self._next_node_id
-        fresh_root = False
-        if self._root is None:
-            self._root = node_cls(threshold, node_id)
-            node_id += 1
-            fresh_root = True
-        path = [self._root]
-        # touched[j]: interior nodes at descent index j (root = 0) whose
-        # subtree gained new leaf values.  Morton order walks the key set
-        # as a depth-first trie traversal, so a node leaves ``path`` for
-        # good once passed — every interior node is appended exactly once
-        # and recording at append time needs no dedup.
-        touched: List[List[OctreeNode]] = [[] for _ in range(depth)]
-        touched[0].append(self._root)
-        depth_m1 = depth - 1
-        visits = 1
-        for index, value in enumerate(sorted_values):
-            if index:
-                resume = resumes[index - 1]
-                if resume > len(path) - 1:
-                    resume = len(path) - 1
-                else:
-                    del path[resume + 1:]
-                fresh = False
-            else:
-                resume = 0
-                fresh = fresh_root
-            digits = digit_rows[index]
-            node = path[resume]
-            for level_index in range(resume, depth):
-                children = node.children
-                if children is None:
-                    if fresh:
-                        children = node.children = [None] * 8
-                    else:
-                        # Expand a pruned subtree: descendants inherit.
-                        inherited = node.value
-                        children = node.children = [
-                            node_cls(inherited, node_id + s)
-                            for s in range(8)
-                        ]
-                        node_id += 8
-                slot = digits[level_index]
-                child = children[slot]
-                if child is None:
-                    child = node_cls(threshold, node_id)
-                    node_id += 1
-                    children[slot] = child
-                    fresh = True
-                node = child
-                path.append(node)
-                if level_index < depth_m1:
-                    touched[level_index + 1].append(node)
-                visits += 1
-            if changed is not None and node.value != value:
-                changed.add(tuple(sorted_keys[index]))
-            node.value = value
-        self._num_nodes += node_id - self._next_node_id
-        self._next_node_id = node_id
+            differing = keys[1:] ^ keys[:-1]
+            differing = differing[:, 0] | differing[:, 1] | differing[:, 2]
+            shared[1:] = depth - np.frexp(differing.astype(np.float64))[1]
 
-        # Deferred propagation: deepest interior level first, so every
-        # node sees its children's final values (cascading prunes
-        # included) exactly as the per-key ascend would have left them.
-        try_prune = self._try_prune
-        for level_nodes in reversed(touched):
-            visits += len(level_nodes)
-            for node in level_nodes:
-                if try_prune(node):
-                    continue
-                node.value = max(
-                    child.value for child in node.children if child is not None
-                )
+        threshold = self.params.threshold
+        fresh = np.array([self._size == 0])
+        if fresh[0]:
+            self._alloc_many(1)
+            self._values[0] = threshold
+        nodes = np.zeros(1, dtype=np.intp)
+        interior = []
+        for level in range(depth):
+            interior.append(nodes)
+            # A pre-existing leaf on the path is a pruned block: its
+            # descendants inherit its value.  A node this call created
+            # has genuinely unknown siblings, so gets no such children.
+            blocks = nodes[self._leaf[nodes] & ~fresh]
+            if blocks.size:
+                inherited = np.repeat(self._values[blocks], 8)
+                kids = self._alloc_many(8 * blocks.size)
+                self._values[kids] = inherited
+                self._children[blocks] = kids.reshape(-1, 8)
+            self._leaf[nodes] = False
+            starts = np.flatnonzero(shared <= level)
+            parents = nodes[np.cumsum(shared[starts] < level) - 1]
+            digits = (codes[starts] >> np.uint64(3 * (depth - 1 - level))) & np.uint64(7)
+            cells = parents * 8 + digits.astype(np.intp)
+            nodes = self._children_flat[cells].astype(np.intp)
+            fresh = nodes < 0
+            if fresh.any():
+                created = self._alloc_many(int(fresh.sum()))
+                self._values[created] = threshold
+                self._children_flat[cells[fresh]] = created
+                nodes[fresh] = created
+        # Distinct keys: ``nodes`` is now one finest leaf per key.
+        if self._changed_keys is not None:
+            moved = self._values[nodes] != new_values
+            self._changed_keys.update(map(tuple, keys[moved].tolist()))
+        self._values[nodes] = new_values
+
+        visits = count
+        for level in reversed(range(depth)):
+            nodes = interior[level]
+            visits += 2 * nodes.size
+            kids = self._children[nodes]
+            present = kids >= 0
+            child_values = np.where(present, self._values[kids], -np.inf)
+            # argmax keeps the first of equal maxima, as ``max()`` does:
+            # the sign of a zero survives exactly as on the scalar path.
+            first_max = child_values.argmax(axis=1)
+            self._values[nodes] = child_values[np.arange(nodes.size), first_max]
+            prune = (
+                present.all(axis=1)
+                & self._leaf[kids].all(axis=1)
+                & (child_values == child_values[:, :1]).all(axis=1)
+            )
+            if prune.any():
+                pruned = nodes[prune]
+                self._children[pruned] = -1
+                self._leaf[pruned] = True
+                self._free.extend(kids[prune].ravel().tolist())
+                self._num_nodes -= 8 * pruned.size
         self.node_visits += visits
 
-    def _descend(self, key: VoxelKey, create: bool) -> List[OctreeNode]:
-        """Walk root→leaf along ``key``; return the visited node path.
+    def _descend(self, key: VoxelKey, path: List[int]) -> List[int]:
+        """Extend ``path`` down to ``key``'s finest leaf, creating it.
 
-        With ``create=True`` the finest-level leaf is guaranteed to exist on
-        return.  Two distinct cases arise when a node has no children:
+        ``path`` is empty (start at the root) or a root-first node path
+        already on the way to ``key`` (the path-caching inserter resumes
+        from the deepest shared ancestor).  Two distinct cases arise when
+        a node has no children:
 
         - The node *pre-existed* this call: it is a pruned leaf whose value
           covers its whole subtree, so it is **expanded** — all 8 children
@@ -374,69 +398,78 @@ class OccupancyOctree:
           genuinely unknown, so only the on-path child is created,
           initialised at the threshold (the paper's stated initial value).
         """
+        depth = self.depth
+        if self._size + 8 * depth + 1 > len(self._values):
+            self._reserve(2 * len(self._values) + 8 * depth)
+        values, children, leaf = self._mv_values, self._mv_children, self._mv_leaf
+        alloc = self._alloc
+        hook = self.visit_hook
+        threshold = self.params.threshold
         fresh = False
-        if self._root is None:
-            if not create:
-                return []
-            self._root = self._alloc(self.params.threshold)
-            fresh = True
-        node = self._root
-        self._visit(node)
-        path = [node]
-        for level in range(self.depth - 1, -1, -1):
-            if node.children is None:
-                if not create:
-                    break
-                if fresh:
-                    node.children = [None] * 8
-                else:
-                    # Expand a pruned subtree: descendants inherit its value.
-                    node.children = [self._alloc(node.value) for _ in range(8)]
-            slot = child_index(key, level)
-            child = node.children[slot]
-            if child is None:
-                if not create:
-                    break
-                child = self._alloc(self.params.threshold)
-                node.children[slot] = child
+        if not path:
+            if not self._size:
+                alloc(threshold)
                 fresh = True
-            node = child
-            self._visit(node)
+            path.append(0)
+        node = path[-1]
+        if hook is not None:
+            hook(node)
+        kx, ky, kz = key
+        self.node_visits += depth + 2 - len(path)
+        for level in range(depth - len(path), -1, -1):
+            base = node << 3
+            if leaf[node]:
+                leaf[node] = False
+                if not fresh:
+                    inherited = values[node]
+                    for cell in range(base, base + 8):
+                        children[cell] = alloc(inherited)
+            cell = (
+                base
+                | (((kx >> level) & 1) << 2)
+                | (((ky >> level) & 1) << 1)
+                | ((kz >> level) & 1)
+            )
+            node = children[cell]
+            if node < 0:
+                node = children[cell] = alloc(threshold)
+                fresh = True
+            if hook is not None:
+                hook(node)
             path.append(node)
         return path
 
-    def _ascend(self, path: List[OctreeNode]) -> None:
-        """Propagate max-of-children upward along ``path`` and prune.
+    def _ascend(self, path: List[int], stop: int = 0, revisit_leaf: bool = True) -> None:
+        """Propagate max-of-children from ``path``'s leaf up to
+        ``path[stop]``, pruning nodes whose 8 children are equal leaves.
 
         Matches the paper's update path (Figure 5): the leaf and each
         ancestor are visited again on the way back to the root.
         """
-        self._visit(path[-1])
-        for index in range(len(path) - 2, -1, -1):
+        values, children, leaf = self._mv_values, self._mv_children, self._mv_leaf
+        hook = self.visit_hook
+        self.node_visits += len(path) - 1 - stop + revisit_leaf
+        if revisit_leaf and hook is not None:
+            hook(path[-1])
+        for index in range(len(path) - 2, stop - 1, -1):
             parent = path[index]
-            self._visit(parent)
-            if self._try_prune(parent):
-                continue
-            parent.value = max(
-                child.value for child in parent.children if child is not None
-            )
-
-    def _try_prune(self, node: OctreeNode) -> bool:
-        """Collapse ``node``'s children when all 8 are equal-valued leaves."""
-        if not node.has_all_children():
-            return False
-        children = node.children
-        first = children[0]
-        if first.children is not None:
-            return False
-        value = first.value
-        for child in children[1:]:
-            if child.children is not None or child.value != value:
-                return False
-        node.children = None
-        node.value = value
-        self._num_nodes -= 8
-        return True
+            if hook is not None:
+                hook(parent)
+            base = parent << 3
+            kids = children[base:base + 8].tolist()
+            child_values = [values[kid] for kid in kids if kid >= 0]
+            # ``max`` keeps the first of equal maxima: after a prune the
+            # parent holds its first child's value, as OctoMap's does.
+            best = values[parent] = max(child_values)
+            if (
+                len(child_values) == 8
+                and min(child_values) == best
+                and all([leaf[kid] for kid in kids])
+            ):
+                children[base:base + 8] = _NO_CHILDREN
+                leaf[parent] = True
+                self._free.extend(kids)
+                self._num_nodes -= 8
 
     # ------------------------------------------------------------------
     # Queries.
@@ -449,83 +482,79 @@ class OccupancyOctree:
         covers all its descendants.
         """
         self._check_key(key)
-        node = self._root
-        if node is None:
-            return None
-        self._visit(node)
-        for level in range(self.depth - 1, -1, -1):
-            if node.children is None:
-                return node.value  # pruned subtree: uniform occupancy
-            child = node.children[child_index(key, level)]
-            if child is None:
-                return None
-            node = child
-            self._visit(node)
-        return node.value
+        return self._walk(key, 0)
 
-    def search_batch(self, keys: np.ndarray) -> List[Optional[float]]:
+    def _walk(self, key: VoxelKey, stop: int) -> Optional[float]:
+        """Value of the node ``stop`` levels above ``key``'s finest voxel."""
+        if not self._size:
+            return None
+        children, leaf = self._mv_children, self._mv_leaf
+        hook = self.visit_hook
+        kx, ky, kz = key
+        node = 0
+        visits = 1
+        if hook is not None:
+            hook(0)
+        for level in range(self.depth - 1, stop - 1, -1):
+            if leaf[node]:
+                break  # pruned subtree: uniform occupancy
+            node = children[
+                (node << 3)
+                | (((kx >> level) & 1) << 2)
+                | (((ky >> level) & 1) << 1)
+                | ((kz >> level) & 1)
+            ]
+            if node < 0:
+                self.node_visits += visits
+                return None
+            visits += 1
+            if hook is not None:
+                hook(node)
+        self.node_visits += visits
+        return self._mv_values[node]
+
+    def search_batch(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`search` for a whole ``(U, 3)`` key batch, in input order.
 
-        Keys are walked in Morton order so consecutive descents reuse
-        their common-prefix path instead of restarting at the root.
-        Results are bit-exact with per-key :meth:`search` (pruned-node
-        value, ``None`` for unknown, leaf value otherwise); node-visit
-        accounting is aggregate and the visit hook does not fire.
+        Returns ``(values, found)``: ``found[i]`` is false where
+        :meth:`search` would return ``None`` (and ``values[i]`` is NaN),
+        otherwise ``values[i]`` is bit-exact with it (pruned-node value
+        or leaf value).  All keys step down one tree level per numpy
+        pass, a key dropping out of the active set where its path ends.
+        Node-visit accounting is aggregate and the visit hook does not
+        fire.
         """
         keys = np.asarray(keys, dtype=np.int64)
         count = keys.shape[0]
-        out: List[Optional[float]] = [None] * count
+        found = np.zeros(count, dtype=bool)
         if count == 0:
-            return out
+            return np.empty(0, dtype=np.float64), found
         self._check_keys_array(keys)
-        if self._root is None:
-            return out
+        if not self._size:
+            return np.full(count, np.nan), found
+        found[:] = True
         codes = keys_to_morton(keys)
-        order = np.argsort(codes, kind="stable")
-        sorted_keys = keys[order].tolist()
-        positions = order.tolist()
         depth = self.depth
-        path = [self._root]
-        prev_x = prev_y = prev_z = -1
-        prev_value: Optional[float] = None
-        visits = 1
-        for position, (kx, ky, kz) in zip(positions, sorted_keys):
-            if prev_x >= 0:
-                diff = (kx ^ prev_x) | (ky ^ prev_y) | (kz ^ prev_z)
-                if diff == 0:
-                    out[position] = prev_value
-                    continue
-                resume = depth - diff.bit_length()
-                if resume > len(path) - 1:
-                    resume = len(path) - 1
-                else:
-                    del path[resume + 1:]
-            else:
-                resume = 0
-            node = path[resume]
-            value: Optional[float] = None
-            for level in range(depth - 1 - resume, -1, -1):
-                children = node.children
-                if children is None:
-                    value = node.value  # pruned subtree: uniform occupancy
-                    break
-                child = children[
-                    (((kx >> level) & 1) << 2)
-                    | (((ky >> level) & 1) << 1)
-                    | ((kz >> level) & 1)
-                ]
-                if child is None:
-                    break
-                node = child
-                path.append(node)
-                visits += 1
-            else:
-                value = node.value
-            out[position] = value
-            prev_x, prev_y, prev_z = kx, ky, kz
-            prev_value = value
+        nodes = np.zeros(count, dtype=np.intp)
+        active = np.arange(count)
+        visits = count
+        for level in range(depth):
+            at = nodes[active]
+            inner = ~self._leaf[at]  # a pruned block answers for its subtree
+            active, at = active[inner], at[inner]
+            if not active.size:
+                break
+            digits = (codes[active] >> np.uint64(3 * (depth - 1 - level))) & np.uint64(7)
+            child = self._children_flat[at * 8 + digits.astype(np.intp)]
+            known = child >= 0
+            found[active[~known]] = False
+            active = active[known]
+            nodes[active] = child[known]
+            visits += active.size
         self.node_visits += visits
-        return out
+        values = self._values[nodes]
+        values[~found] = np.nan
+        return values, found
 
     def search_at_level(self, key: VoxelKey, level: int) -> Optional[float]:
         """Occupancy of the size-``2**level`` voxel containing ``key``.
@@ -538,19 +567,7 @@ class OccupancyOctree:
         """
         if not 0 <= level <= self.depth:
             raise ValueError(f"level must be in [0, {self.depth}], got {level}")
-        node = self._root
-        if node is None:
-            return None
-        self._visit(node)
-        for current in range(self.depth - 1, level - 1, -1):
-            if node.children is None:
-                return node.value  # pruned subtree: uniform occupancy
-            child = node.children[child_index(key, current)]
-            if child is None:
-                return None
-            node = child
-            self._visit(node)
-        return node.value
+        return self._walk(key, level)
 
     def query(self, coord: Tuple[float, float, float]) -> Optional[float]:
         """Log-odds occupancy at a metric coordinate (``None`` if unknown)."""
@@ -576,29 +593,30 @@ class OccupancyOctree:
         """Estimated memory footprint using OctoMap's compact node size."""
         return self._num_nodes * NODE_BYTES
 
+    def _levels(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """``(nodes, codes)`` of every node at depth 0, 1, … — each level
+        in ascending Morton-prefix order, gathered in one pass."""
+        nodes = np.zeros(min(self._size, 1), dtype=np.intp)
+        codes = np.zeros(nodes.size, dtype=np.uint64)
+        while nodes.size:
+            yield nodes, codes
+            kids = self._children[nodes]
+            present = kids >= 0
+            nodes = kids[present].astype(np.intp)
+            codes = ((codes[:, None] << np.uint64(3)) | _SLOTS)[present]
+
     def node_census(self) -> List[Tuple[int, int]]:
         """Exact per-depth ``(leaf, interior)`` node counts via a walk.
 
         Depth 0 is the root.  The summed census must equal
-        :attr:`num_nodes` (the counter ``_alloc``/``_try_prune``
-        maintain incrementally) — the memsight drift gate checks that.
+        :attr:`num_nodes` (the counter allocation and pruning maintain
+        incrementally) — the memsight drift gate checks that.
         """
-        census: List[List[int]] = []
-        if self._root is None:
-            return []
-        stack: List[Tuple[OctreeNode, int]] = [(self._root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            while len(census) <= depth:
-                census.append([0, 0])
-            if node.children is None:
-                census[depth][0] += 1
-                continue
-            census[depth][1] += 1
-            for child in node.children:
-                if child is not None:
-                    stack.append((child, depth + 1))
-        return [(leaf, interior) for leaf, interior in census]
+        census = []
+        for nodes, _codes in self._levels():
+            leaves = int(self._leaf[nodes].sum())
+            census.append((leaves, nodes.size - leaves))
+        return census
 
     def recount_nodes(self) -> int:
         """Total allocated nodes recounted by walking the tree (exact)."""
@@ -639,37 +657,48 @@ class OccupancyOctree:
             nodes = MemoryReport("nodes", count * NODE_BYTES, count)
         return MemoryReport("octree", children=[nodes])
 
-    def iter_leaves(self) -> Iterator[Tuple[VoxelKey, int, float]]:
+    def iter_leaves(
+        self,
+        min_key: VoxelKey = (0, 0, 0),
+        max_key: Optional[VoxelKey] = None,
+    ) -> Iterator[Tuple[VoxelKey, int, float]]:
         """Yield ``(min_key, level, value)`` for every leaf node.
 
         ``level`` is 0 for finest-resolution leaves; a pruned leaf at level
         ``l`` covers a cube of ``2**l`` voxels per axis starting at
-        ``min_key``.
+        ``min_key``.  With a key box (inclusive on both ends) only leaves
+        intersecting it are yielded, and subtrees wholly outside are
+        culled without descent.
         """
-        if self._root is None:
+        if not self._size:
             return
-        stack: List[Tuple[OctreeNode, int, int, int, int]] = [
-            (self._root, self.depth, 0, 0, 0)
-        ]
+        values, children, leaf = self._mv_values, self._mv_children, self._mv_leaf
+        lo_x, lo_y, lo_z = min_key
+        hi_x, hi_y, hi_z = max_key or (self._key_limit,) * 3
+        stack = [(0, self.depth, 0, 0, 0)]
         while stack:
             node, level, kx, ky, kz = stack.pop()
-            if node.children is None:
-                yield ((kx, ky, kz), level, node.value)
+            last = (1 << level) - 1
+            if (
+                kx > hi_x or ky > hi_y or kz > hi_z
+                or kx + last < lo_x or ky + last < lo_y or kz + last < lo_z
+            ):
+                continue
+            if leaf[node]:
+                yield ((kx, ky, kz), level, values[node])
                 continue
             half = 1 << (level - 1)
-            for slot in range(8):
-                child = node.children[slot]
-                if child is None:
-                    continue
-                stack.append(
-                    (
-                        child,
-                        level - 1,
-                        kx + (half if slot & 4 else 0),
-                        ky + (half if slot & 2 else 0),
-                        kz + (half if slot & 1 else 0),
+            for slot, child in enumerate(children[node << 3:(node << 3) + 8]):
+                if child >= 0:
+                    stack.append(
+                        (
+                            child,
+                            level - 1,
+                            kx + (half if slot & 4 else 0),
+                            ky + (half if slot & 2 else 0),
+                            kz + (half if slot & 1 else 0),
+                        )
                     )
-                )
 
     def iter_finest_leaves(self) -> Iterator[Tuple[VoxelKey, float]]:
         """Yield ``(key, value)`` for every finest-resolution voxel.
@@ -689,27 +718,22 @@ class OccupancyOctree:
         keys and ``(N,)`` float64 log-odds, in ascending Morton order.
 
         Distinct rows, the input :meth:`set_leaves_bulk` takes: how a
-        whole map is written into another tree.  Every checkpoint passes
-        its map through here, so the walk fills two flat typed buffers,
-        never a list of ``(tuple, float)`` pairs.
+        whole map is written into another tree.  One gather per level:
+        the frontier steps from every node to its children, a pruned
+        block standing for eight children that hold its value.
         """
-        codes, values = array("Q"), array("d")
-
-        def walk(node: OctreeNode, level: int, code: int) -> None:
-            if level == 0:
-                codes.append(code)
-                values.append(node.value)
-                return
-            # A pruned node stands for eight children holding its value.
-            for slot, child in enumerate(node.children or (node,) * 8):
-                if child is not None:
-                    walk(child, level - 1, code << 3 | slot)
-
-        if self._root is not None:
-            walk(self._root, self.depth, 0)
-        keys = np.stack(morton_decode3_array(np.frombuffer(codes, dtype=np.uint64)), 1)
+        nodes = np.zeros(min(self._size, 1), dtype=np.intp)
+        codes = np.zeros(nodes.size, dtype=np.uint64)
+        for _ in range(self.depth):
+            kids = np.where(
+                self._leaf[nodes][:, None], nodes[:, None], self._children[nodes]
+            )
+            present = kids >= 0
+            nodes = kids[present]
+            codes = ((codes[:, None] << np.uint64(3)) | _SLOTS)[present]
+        keys = np.stack(morton_decode3_array(codes), 1)
         # Components are < 2**21: reinterpreting as int64 needs no copy.
-        return keys.view(np.int64), np.frombuffer(values, dtype=np.float64)
+        return keys.view(np.int64), self._values[nodes]
 
     def __len__(self) -> int:
         return self._num_nodes

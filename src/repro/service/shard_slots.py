@@ -119,13 +119,11 @@ class ShardSlots:
         """
         pipeline = self.get(shard, tenant)
         keys, values = pipeline.octree.finest_leaf_arrays()
-        cells = list(pipeline.cache.iter_cells())
-        cell_keys = np.array([key for key, _ in cells], np.int64).reshape(-1, 3)
-        cell_values = np.array([value for _, value in cells], dtype=np.float64)
-        fresh = ~np.isin(keys_to_morton(keys), keys_to_morton(cell_keys))
+        cells = pipeline.cache.cells()
+        fresh = ~np.isin(keys_to_morton(keys), keys_to_morton(cells.keys))
         return (
-            np.concatenate([keys[fresh], cell_keys]),
-            np.concatenate([values[fresh], cell_values]),
+            np.concatenate([keys[fresh], cells.keys]),
+            np.concatenate([values[fresh], cells.values]),
         )
 
     def occupied_in_box(

@@ -149,7 +149,7 @@ class TestEviction:
         for _ in range(3):
             cache.insert((0, 0, 0), True)
         cache.insert((1, 0, 0), True)  # force overflow
-        evicted = dict(cache.evict())
+        evicted = dict(iter(cache.evict()))
         expected = cache.params.threshold
         for _ in range(3):
             expected = cache.params.update(expected, True)
@@ -158,7 +158,7 @@ class TestEviction:
     def test_underfull_buckets_untouched(self):
         cache = make_cache(num_buckets=16, tau=4)
         cache.insert((1, 1, 1), True)
-        assert cache.evict() == []
+        assert len(cache.evict()) == 0
         assert cache.resident_voxels == 1
 
     def test_morton_eviction_order_within_window(self):

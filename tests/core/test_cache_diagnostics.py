@@ -2,6 +2,7 @@
 
 from repro.core.cache import VoxelCache
 from repro.core.config import CacheConfig
+from repro.core.morton import morton_decode3
 
 
 def make_cache(buckets=16, tau=4):
@@ -43,7 +44,10 @@ class TestCollisionHistogram:
         def quantiles_of(sizes):
             cache = make_cache(buckets=16)
             for index, size in enumerate(sizes):
-                cache._buckets[index] = [((index, 0, 0), 0.0)] * size
+                # Morton codes congruent to ``index`` mod 16 share bucket ``index``.
+                for cell in range(size):
+                    cache.insert(morton_decode3(index + 16 * cell), True)
+            assert cache.bucket_sizes()[: len(sizes)] == sizes
             return cache.occupancy_quantiles()
 
         # n=1: every quantile is the single value.

@@ -89,7 +89,11 @@ def test_bulk_write_builds_the_tree_set_leaf_builds(seed, writes):
 def test_search_batch_answers_as_search_does(seed, probes):
     tree, _ = seeded_pair(seed)
     keys = np.array(probes, dtype=np.int64).reshape(-1, 3)
-    assert tree.search_batch(keys) == [tree.search(key) for key in probes]
+    values, found = tree.search_batch(keys)
+    assert values.dtype == np.float64 and found.dtype == bool
+    assert np.isnan(values[~found]).all()
+    answers = [value if known else None for value, known in zip(values.tolist(), found.tolist())]
+    assert answers == [tree.search(key) for key in probes]
 
 
 @settings(max_examples=150, deadline=None)

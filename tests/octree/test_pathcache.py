@@ -83,7 +83,7 @@ class TestEquivalence:
         updates = [((0, 0, 0), True), ((SIDE - 1, SIDE - 1, SIDE - 1), False)]
         cached = cached_tree(updates)
         # Root must reflect the max over both leaves.
-        assert cached._root.value == pytest.approx(
+        assert cached.search_at_level((0, 0, 0), DEPTH) == pytest.approx(
             cached.params.delta_occupied
         )
 

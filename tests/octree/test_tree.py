@@ -75,9 +75,10 @@ class TestUpdateAndSearch:
         tree = make_tree()
         tree.update_node((0, 0, 0), True)
         tree.update_node((0, 0, 1), False)
-        root = tree._root
         # Root value equals the maximum leaf value below it.
-        assert root.value == pytest.approx(tree.params.delta_occupied)
+        assert tree.search_at_level((0, 0, 0), tree.depth) == pytest.approx(
+            tree.params.delta_occupied
+        )
 
     def test_set_leaf_overwrites(self):
         tree = make_tree()
