@@ -16,22 +16,32 @@ lowest axis index), steps that axis and advances its ``t_max`` by
 ``t_delta``.  That is exactly a 3-way merge of the per-axis border
 crossing sequences ``t0, t0+dt, (t0+dt)+dt, ...``:
 
-1. Each axis's crossing sequence is materialised by a **row-wise
+1. The rays that leave the origin's voxel are sorted by their largest
+   per-axis crossing count and cut into **length cohorts**
+   (:func:`_cohort_bounds`).  Steps 2-5 run once per cohort, on grids
+   sized for that cohort's longest ray: a one-voxel ray never rides a
+   map-spanning ray's grid.
+2. Each axis's crossing sequence is materialised by a **row-wise
    cumsum** over ``[t0, dt, dt, ...]`` — numpy's cumsum performs the
    same left-to-right repeated addition as the scalar ``t_max +=
    t_delta``, so every crossing value is bit-identical, not just close.
-2. A per-ray **stable argsort** over the three concatenated sequences
+3. A per-ray **stable argsort** over the three concatenated sequences
    (axis 0's block first) merges them; for equal ``t`` values stability
    keeps the lower axis first, matching the scalar tie-break, and
    within one axis keeps crossings in order.
-3. Per-axis **cumulative step counts** along the merged order give the
-   voxel key after every step, and the scalar's two break conditions
-   become array tests: ``key == end_key`` is a per-axis count match and
-   the overshoot test ``min(t_max) > 1`` is simply "the next merged
-   event's ``t`` exceeds 1" (the merged order is sorted, so the next
-   event *is* the minimum of the three axis heads).
-4. The scalar per-ray step budget (Manhattan key distance + 3, which
-   absorbs float corner ties) is applied as a per-ray column cutoff.
+4. Per-axis **cumulative step counts** (int32) along the merged order
+   give the voxel key after every step, and the scalar's two break
+   conditions become array tests: ``key == end_key`` is a per-axis count
+   match and the overshoot test ``min(t_max) > 1`` is simply "the next
+   merged event's ``t`` exceeds 1" (the merged order is sorted, so the
+   next event *is* the minimum of the three axis heads).  The scalar
+   per-ray step budget (Manhattan key distance + 3, which absorbs float
+   corner ties) caps the steps a ray emits.
+5. The emitted cells are gathered out of the count grids (``repeat`` /
+   ``arange`` from the per-ray emitted counts) into compact int32 keys.
+6. Once every cohort's emitted counts are known, so is every ray's
+   place in the stream: each cohort's keys are written **straight to
+   their stream offsets**, widening to int64 on that one write.
 
 ``max_range`` truncation is vectorised with the same arithmetic as the
 scalar path (same operation order, so the truncated endpoints are
@@ -41,7 +51,7 @@ bit-identical), and truncated rays contribute only free space.
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -49,6 +59,16 @@ from repro.octree.key import coord_to_key
 from repro.sensor.pointcloud import PointCloud
 
 __all__ = ["trace_cloud_arrays"]
+
+#: Cells of the ``(rays, 3, width)`` crossing grid a cut must save to be
+#: worth one more cohort: eight times the ~4 000 padded cells' time (~0.1
+#: ms) a cohort costs in a quiet process, because under the threaded
+#: service each of its ~60 numpy calls is also a GIL hand-off.
+_PASS_CELLS = 1 << 15
+
+#: Largest crossing grid of one cohort (a single ray excepted): bounds the
+#: transient memory by the stream returned, not ``rays x longest ray``.
+_COHORT_CELLS = 1 << 16
 
 
 def trace_cloud_arrays(
@@ -102,64 +122,94 @@ def trace_cloud_arrays(
         # Re-raise through the scalar converter for the identical error.
         coord_to_key(tuple(endpoints[index].tolist()), resolution, depth)
 
-    degenerate = (deltas == 0.0).all(axis=1)
-    same_voxel = (end_keys == sk).all(axis=1)
-    active = ~(degenerate | same_voxel)
-    idx = np.flatnonzero(active)
+    # Crossings per axis.  A ray that ends in the origin's voxel (a
+    # degenerate one included) has none and emits only its endpoint.
+    n_steps = np.abs(end_keys - sk).astype(np.int32)
+    length = n_steps.max(axis=1)
+    rays = np.flatnonzero(length)
+    rays = rays[np.argsort(length[rays], kind="stable")]   # shortest first
+    lengths = length[rays]
+    n_steps = n_steps[rays]
+    d = deltas[rays]
+    stp = np.sign(d.T).astype(np.int32)
+    nonzero = d != 0.0
+    border = (sk - offset + (d > 0.0)) * resolution
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t0 = np.where(nonzero, (border - origin) / d, np.inf)
+        dt = np.where(nonzero, resolution / np.abs(d), np.inf)
+
+    emitted = np.empty(rays.shape[0], dtype=np.int64)
+    traced = []
+    for lo, hi in _cohort_bounds(lengths):
+        emitted[lo:hi], keys = _trace_cohort(
+            t0[lo:hi], dt[lo:hi], stp[:, lo:hi], n_steps[lo:hi], sk
+        )
+        traced.append((lo, hi, keys))
 
     free_counts = np.zeros(num_rays, dtype=np.int64)
-    if idx.size:
-        d = deltas[idx]
-        ek = end_keys[idx]
-        n_steps = np.abs(ek - sk)              # crossings per axis
-        budget = n_steps.sum(axis=1) + 3       # scalar max_steps
-        emitted, emit_keys, positions_grid, flat_mask = _trace_cohort(
-            d, n_steps, budget, sk, origin, resolution, offset
-        )
-        free_counts[idx] = 1 + emitted         # start voxel + steps
-
-    totals = free_counts + 1                   # + endpoint observation
-    ends_pos = np.cumsum(totals) - 1
-    seg_off = ends_pos - free_counts
+    free_counts[rays] = 1 + emitted            # start voxel + steps
+    ends_pos = np.cumsum(free_counts + 1) - 1  # + endpoint observation
+    starts = (ends_pos - free_counts)[rays]
     total = int(ends_pos[-1]) + 1
 
     out_keys = np.empty((total, 3), dtype=np.int64)
     out_occ = np.zeros(total, dtype=bool)
     out_keys[ends_pos] = end_keys
     out_occ[ends_pos] = ~truncated
-    if idx.size:
-        starts = seg_off[idx]
-        out_keys[starts] = sk
-        positions = (starts[:, None] + positions_grid).ravel()[flat_mask]
-        out_keys[positions] = emit_keys
+    out_keys[starts] = sk
+    for lo, hi, keys in traced:
+        # A cohort's keys lie ray after ray; each ray's run moves to the
+        # slots after that ray's start voxel.
+        steps = emitted[lo:hi]
+        run_start = np.cumsum(steps) - steps
+        positions = np.repeat(starts[lo:hi] + 1 - run_start, steps)
+        positions += np.arange(keys.shape[1])
+        out_keys[positions] = keys.T
     return out_keys, out_occ, num_rays
 
 
+def _cohort_bounds(lengths: np.ndarray) -> List[Tuple[int, int]]:
+    """Cut rays sorted by ``lengths`` into cohorts; ``(lo, hi)`` slices.
+
+    A cohort's crossing grid is ``3 * (its longest ray + 4)`` cells per
+    ray.  A slice is cut where the cut saves the most cells — the rays
+    below it times the width they no longer pad to — as long as that
+    beats :data:`_PASS_CELLS`; a slice no cut pays for is one cohort,
+    shed from the long end in :data:`_COHORT_CELLS` pieces if its grid
+    is larger than that.  A pure function of the crossing counts.
+    """
+    upto = np.cumsum(np.bincount(lengths))     # rays no longer than v
+    bounds = []
+    pending = [(0, lengths.shape[0])] if lengths.shape[0] else []
+    while pending:
+        lo, hi = pending.pop()
+        shortest, longest = int(lengths[lo]), int(lengths[hi - 1])
+        below = upto[shortest:longest] - lo    # rays under a cut after v
+        saved = below * (3 * (longest - np.arange(shortest, longest)))
+        fit = max(1, _COHORT_CELLS // (3 * (longest + 4)))
+        if saved.size and saved.max() >= _PASS_CELLS:
+            cut = lo + int(below[saved.argmax()])
+            pending += [(lo, cut), (cut, hi)]
+        elif hi - lo > fit:
+            pending.append((lo, hi - fit))
+            bounds.append((hi - fit, hi))
+        else:
+            bounds.append((lo, hi))
+    return bounds
+
+
 def _trace_cohort(
-    d: np.ndarray,
-    n_steps: np.ndarray,
-    budget: np.ndarray,
-    sk: np.ndarray,
-    origin: np.ndarray,
-    resolution: float,
-    offset: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    t0: np.ndarray, dt: np.ndarray, stp: np.ndarray, n_steps: np.ndarray, sk: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
     """Trace one cohort of active rays; see :func:`trace_cloud_arrays`.
 
-    Returns ``(emitted, emit_keys, positions_grid, flat_mask)``:
-    emitted steps per ray, the emitted free-voxel keys in row-major
-    (scalar) order, and the per-(ray, column) output-offset grid plus
-    flattened emission mask the caller uses to scatter the keys into the
-    observation stream.
+    ``t0`` / ``dt``: each ray's first crossing and crossing interval per
+    axis; ``stp``: its ``(3, rays)`` key steps.  Returns the steps emitted
+    per ray and their keys, ``(3, emitted.sum())`` int32 in scalar order.
     """
-    count = d.shape[0]
-    stp = np.sign(d).astype(np.int64)
-    nonzero = stp != 0
-    border = (sk[None, :] - offset + (d > 0.0).astype(np.int64)) * resolution
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t0 = np.where(nonzero, (border - origin) / d, np.inf)
-        dt = np.where(nonzero, resolution / np.abs(d), np.inf)
-
+    count = t0.shape[0]
+    manhattan = n_steps.sum(axis=1)
+    budget = manhattan + 3                     # scalar max_steps
     num_events = int(budget.max()) + 1         # need step i's successor t
     width = int(n_steps.max()) + 4             # per-axis slack ≥ budget tail
 
@@ -172,14 +222,10 @@ def _trace_cohort(
     events = events.reshape(count, 3 * width)
 
     order = np.argsort(events, axis=1, kind="stable")[:, :num_events]
-
-    columns = np.arange(num_events, dtype=np.int64)
-    cx = (order < width).cumsum(axis=1, dtype=np.int64)
-    cxy = (order < 2 * width).cumsum(axis=1, dtype=np.int64)
-    cy = cxy - cx
-    # Column j has seen j+1 events in total, so the third count is
-    # implied — no third compare-and-cumsum pass needed.
-    cz = columns + 1 - cxy
+    # Column j has seen j+1 events in total, so the y and z counts are
+    # implied by these two: cy = cxy - cx, cz = j + 1 - cxy.
+    cx = (order < width).cumsum(axis=1, dtype=np.int32)
+    cxy = (order < 2 * width).cumsum(axis=1, dtype=np.int32)
 
     # The scalar break conditions, without materialising the merged
     # t values or a stop grid:
@@ -189,23 +235,26 @@ def _trace_cohort(
     # - end-voxel arrival: counts sum to j+1 per column, so all three
     #   can equal ``n_steps`` (which sums to the Manhattan distance)
     #   only at column manhattan-1 — one gather checks it.
-    manhattan = budget - 3
     reach = np.count_nonzero(events <= 1.0, axis=1)
-    overshoot = np.clip(reach - 1, 0, num_events - 1)
+    emitted = np.minimum(np.maximum(reach - 1, 0), budget)  # steps per ray
     end_col = manhattan - 1
-    flat_end = np.arange(count, dtype=np.int64) * num_events + end_col
-    at_end = (
-        (np.take(cx, flat_end) == n_steps[:, 0])
-        & (np.take(cy, flat_end) == n_steps[:, 1])
-        & (np.take(cz, flat_end) == n_steps[:, 2])
-    )
-    emitted = np.minimum(overshoot, budget)    # steps emitted per ray
+    row_start = np.arange(count, dtype=np.int32) * num_events
+    end_x = np.take(cx, row_start + end_col)
+    end_xy = np.take(cxy, row_start + end_col)
+    at_end = (end_x == n_steps[:, 0]) & (end_xy - end_x == n_steps[:, 1])
+    at_end &= manhattan - end_xy == n_steps[:, 2]
     np.minimum(emitted, np.where(at_end, end_col, emitted), out=emitted)
 
-    mask = columns[None, :] < emitted[:, None]
-    flat_mask = mask.ravel()                   # row-major = scalar order
-    emit_keys = np.empty((int(emitted.sum()), 3), dtype=np.int64)
-    emit_keys[:, 0] = (sk[0] + stp[:, 0:1] * cx).ravel()[flat_mask]
-    emit_keys[:, 1] = (sk[1] + stp[:, 1:2] * cy).ravel()[flat_mask]
-    emit_keys[:, 2] = (sk[2] + stp[:, 2:3] * cz).ravel()[flat_mask]
-    return emitted, emit_keys, 1 + columns, flat_mask
+    # Gather the emitted (ray, column) cells, row-major = scalar order.
+    total = int(emitted.sum())
+    run_start = (np.cumsum(emitted) - emitted).astype(np.int32)
+    column = np.arange(total, dtype=np.int32) - np.repeat(run_start, emitted)
+    cell = np.repeat(row_start, emitted) + column
+    keys = np.empty((3, total), dtype=np.int32)
+    keys[0] = np.take(cx, cell)
+    keys[2] = np.take(cxy, cell)
+    np.subtract(keys[2], keys[0], out=keys[1])
+    np.subtract(column + 1, keys[2], out=keys[2])
+    keys *= np.repeat(stp, emitted, axis=1)
+    keys += sk.astype(np.int32)[:, None]
+    return emitted, keys

@@ -99,6 +99,7 @@ class ScanBatch:
         if len(batches) == 1:
             return batches[0]
         return cls(
+            num_rays=sum(batch.num_rays for batch in batches),
             keys=np.concatenate([batch.keys_array() for batch in batches]),
             occupied=np.concatenate(
                 [batch.occupied_array() for batch in batches]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sensor.pointcloud import PointCloud
-from repro.sensor.scaninsert import trace_scan, trace_scan_rt
+from repro.sensor.scaninsert import ScanBatch, trace_scan, trace_scan_rt
 
 RES = 0.1
 DEPTH = 10
@@ -89,3 +89,19 @@ class TestTraceScanRT:
     def test_fewer_observations_than_vanilla(self):
         cloud = wall_cloud()
         assert len(trace_scan_rt(cloud, RES, DEPTH)) < len(trace_scan(cloud, RES, DEPTH))
+
+
+class TestScanBatchConcat:
+    """The service's coalesced worker turn applies one concatenated batch."""
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_num_rays_is_the_sum_of_the_parts(self, parts):
+        batches = [
+            trace_scan(wall_cloud(n=5 + index, seed=index), RES, DEPTH, kernel="vector")
+            for index in range(parts)
+        ]
+        joined = ScanBatch.concat(batches)
+        assert joined.num_rays == sum(5 + index for index in range(parts))
+        assert joined.observations == [
+            observation for batch in batches for observation in batch.observations
+        ]
