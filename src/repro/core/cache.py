@@ -363,13 +363,19 @@ class VoxelCache:
         holds the fully accumulated value; evicted voxels overwrite the
         octree), which is the paper's query-consistency guarantee.
         """
-        value = self.lookup(key)
-        if value is not None:
+        limit = self._key_limit
+        if not (0 <= key[0] < limit and 0 <= key[1] < limit and 0 <= key[2] < limit):
+            validate_key(key, self._key_depth)
+        code = morton_encode3(key[0], key[1], key[2])
+        slot = self._index.get(code)
+        if slot is not None:
             self.stats.query_hits += 1
-            return value
+            return self._mv_values[slot]
         self.stats.query_misses += 1
         if self.backend is not None:
-            return self.backend.search(key)
+            # Checked above against the backend's own bound, and the code
+            # that missed the index is the path the octree walks.
+            return self.backend._walk(code, 0)
         return None
 
     def is_occupied(self, key: VoxelKey) -> Optional[bool]:

@@ -203,10 +203,7 @@ def common_prefix_depth(code_a: int, code_b: int, levels: int) -> int:
     """
     if levels < 0:
         raise ValueError(f"levels must be non-negative, got {levels}")
-    depth = 0
-    for level in range(levels - 1, -1, -1):
-        shift = 3 * level
-        if (code_a >> shift) & 0b111 != (code_b >> shift) & 0b111:
-            break
-        depth += 1
-    return depth
+    # The highest differing bit names the first differing 3-bit group
+    # (``repro.octree.key.ancestor_level`` is the same on keys).
+    differing = (code_a ^ code_b) & ((1 << 3 * levels) - 1)
+    return levels - (differing.bit_length() + 2) // 3

@@ -14,6 +14,7 @@ Morton order equals root-to-leaf path order.
 
 from __future__ import annotations
 
+from math import floor
 from typing import Tuple
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
     "key_to_morton",
     "keys_to_morton",
     "child_index",
+    "ancestor_level",
     "validate_key",
 ]
 
@@ -65,18 +67,21 @@ def coord_to_key(
     Raises :class:`ValueError` when the coordinate falls outside the map
     boundary implied by ``resolution`` and ``depth``.
     """
-    offset = 1 << (depth - 1)
+    x, y, z = coord
     limit = 1 << depth
-    key = []
-    for axis_value in coord:
-        component = int(np.floor(axis_value / resolution)) + offset
-        if not 0 <= component < limit:
-            raise ValueError(
-                f"coordinate {coord} outside map boundary "
-                f"(resolution={resolution}, depth={depth})"
-            )
-        key.append(component)
-    return (key[0], key[1], key[2])
+    offset = limit >> 1
+    # Axis by axis, so a bad x is reported before a nan y is floored.
+    kx = floor(x / resolution) + offset
+    if 0 <= kx < limit:
+        ky = floor(y / resolution) + offset
+        if 0 <= ky < limit:
+            kz = floor(z / resolution) + offset
+            if 0 <= kz < limit:
+                return (kx, ky, kz)
+    raise ValueError(
+        f"coordinate {coord} outside map boundary "
+        f"(resolution={resolution}, depth={depth})"
+    )
 
 
 def key_to_coord(
@@ -152,3 +157,13 @@ def child_index(key: VoxelKey, level: int) -> int:
         | (((key[1] >> level) & 1) << 1)
         | ((key[2] >> level) & 1)
     )
+
+
+def ancestor_level(key_a: VoxelKey, key_b: VoxelKey) -> int:
+    """Tree level (0 = finest voxel) of the deepest node on both keys'
+    root-to-leaf paths: the bit length of their highest differing bit.
+    ``depth`` minus it is the closest-common-ancestor depth ``F(S)`` sums
+    (:func:`repro.core.morton.common_prefix_depth` on Morton codes)."""
+    return (
+        (key_a[0] ^ key_b[0]) | (key_a[1] ^ key_b[1]) | (key_a[2] ^ key_b[2])
+    ).bit_length()

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Tuple
 
-from repro.octree.key import VoxelKey, child_index
+from repro.octree.key import VoxelKey, ancestor_level
 from repro.octree.tree import OccupancyOctree
 
 __all__ = ["PathCachingInserter"]
@@ -63,7 +63,7 @@ class PathCachingInserter:
         path = self._path
         if path:
             # Retract: back-propagate and prune the abandoned suffix.
-            self._retract_to(self._shared_depth(key))
+            self._retract_to(tree.depth - ancestor_level(key, self._key))
         # The tree's own descent, resumed: the node it restarts from
         # pre-existed this descent, so a childless node met on the way
         # is a pruned (or expansion-inherited) leaf whose value its
@@ -98,17 +98,6 @@ class PathCachingInserter:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.finish()
-
-    def _shared_depth(self, key: VoxelKey) -> int:
-        """Depth (levels below root) shared between ``key`` and the path."""
-        previous = self._key
-        depth = self.tree.depth
-        shared = 0
-        for level in range(depth - 1, -1, -1):
-            if child_index(previous, level) != child_index(key, level):
-                break
-            shared += 1
-        return shared
 
     def _retract_to(self, shared: int) -> None:
         """Back-propagate and prune along the abandoned path suffix."""

@@ -27,9 +27,10 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.morton import morton_decode3_array
+from repro.core.morton import morton_decode3_array, morton_encode3
 from repro.octree.key import (
     VoxelKey,
+    ancestor_level,
     coord_to_key,
     key_to_coord,
     keys_to_morton,
@@ -482,28 +483,24 @@ class OccupancyOctree:
         covers all its descendants.
         """
         self._check_key(key)
-        return self._walk(key, 0)
+        return self._walk(morton_encode3(key[0], key[1], key[2]), 0)
 
-    def _walk(self, key: VoxelKey, stop: int) -> Optional[float]:
-        """Value of the node ``stop`` levels above ``key``'s finest voxel."""
+    def _walk(self, code: int, stop: int) -> Optional[float]:
+        """Value of the node ``stop`` levels above the finest voxel with
+        Morton code ``code``, whose 3-bit groups are the child slots of
+        the root-to-leaf path."""
         if not self._size:
             return None
         children, leaf = self._mv_children, self._mv_leaf
         hook = self.visit_hook
-        kx, ky, kz = key
         node = 0
         visits = 1
         if hook is not None:
             hook(0)
-        for level in range(self.depth - 1, stop - 1, -1):
+        for shift in range(3 * self.depth - 3, 3 * stop - 1, -3):
             if leaf[node]:
                 break  # pruned subtree: uniform occupancy
-            node = children[
-                (node << 3)
-                | (((kx >> level) & 1) << 2)
-                | (((ky >> level) & 1) << 1)
-                | ((kz >> level) & 1)
-            ]
+            node = children[(node << 3) | ((code >> shift) & 7)]
             if node < 0:
                 self.node_visits += visits
                 return None
@@ -567,7 +564,66 @@ class OccupancyOctree:
         """
         if not 0 <= level <= self.depth:
             raise ValueError(f"level must be in [0, {self.depth}], got {level}")
-        return self._walk(key, level)
+        return self._walk(morton_encode3(key[0], key[1], key[2]), level)
+
+    def cursor(self) -> Callable[[VoxelKey], Optional[float]]:
+        """A :meth:`search` for a run of nearby keys (one ray's voxels) that
+        resumes where its last call stopped.
+
+        Same answers and ``ValueError`` as :meth:`search`, but a key inside
+        the block that answered last — a pruned leaf or an absent child at
+        level ``L`` covers every key agreeing with the last one above bit
+        ``L`` — costs one :func:`~repro.octree.key.ancestor_level`, and any
+        other descends from the deepest ancestor it shares with the last
+        key.  Only newly entered nodes count as visits and reach the hook.
+        Dead after any write to the tree: take one per ray.
+        """
+        depth = self.depth
+        children, leaf, values = self._mv_children, self._mv_leaf, self._mv_values
+        hook = self.visit_hook
+        path = [0] * (depth + 1)  # path[level]: node last entered there; root on top
+        # No key shares bit ``depth``: the first read starts above the root.
+        previous: VoxelKey = (1 << depth,) * 3
+        # Keys within ``block`` levels of ``previous`` have ``value``; an
+        # empty tree is one absent block.
+        block = depth + 1 if not self._size else -1
+        value: Optional[float] = None
+
+        def search(key: VoxelKey) -> Optional[float]:
+            nonlocal previous, block, value
+            kx, ky, kz = key
+            if (kx | ky | kz) >> depth:  # a component < 0 or >= 2**depth
+                self._check_key(key)
+            level = ancestor_level(key, previous)
+            if level <= block:
+                return value
+            previous = key
+            visits = 0
+            if level > depth:
+                level, visits = depth, 1
+                if hook is not None:
+                    hook(0)
+            node = path[level]
+            while not leaf[node]:
+                level -= 1
+                node = children[
+                    (node << 3)
+                    | (((kx >> level) & 1) << 2)
+                    | (((ky >> level) & 1) << 1)
+                    | ((kz >> level) & 1)
+                ]
+                if node < 0:
+                    break
+                path[level] = node
+                visits += 1
+                if hook is not None:
+                    hook(node)
+            self.node_visits += visits
+            block = level
+            value = values[node] if node >= 0 else None
+            return value
+
+        return search
 
     def query(self, coord: Tuple[float, float, float]) -> Optional[float]:
         """Log-odds occupancy at a metric coordinate (``None`` if unknown)."""
@@ -688,17 +744,12 @@ class OccupancyOctree:
                 yield ((kx, ky, kz), level, values[node])
                 continue
             half = 1 << (level - 1)
+            # One int per axis and half, shared by the children it locates.
+            xs, ys, zs = (kx, kx + half), (ky, ky + half), (kz, kz + half)
             for slot, child in enumerate(children[node << 3:(node << 3) + 8]):
                 if child >= 0:
-                    stack.append(
-                        (
-                            child,
-                            level - 1,
-                            kx + (half if slot & 4 else 0),
-                            ky + (half if slot & 2 else 0),
-                            kz + (half if slot & 1 else 0),
-                        )
-                    )
+                    coords = xs[slot >> 2], ys[(slot >> 1) & 1], zs[slot & 1]
+                    stack.append((child, level - 1, *coords))
 
     def iter_finest_leaves(self) -> Iterator[Tuple[VoxelKey, float]]:
         """Yield ``(key, value)`` for every finest-resolution voxel.
@@ -706,8 +757,11 @@ class OccupancyOctree:
         Pruned subtrees are expanded on the fly (can be large for coarse
         pruned regions; intended for tests and small maps).
         """
-        for (kx, ky, kz), level, value in self.iter_leaves():
-            span = 1 << level
+        for key, level, value in self.iter_leaves():
+            if not level:
+                yield (key, value)
+                continue
+            (kx, ky, kz), span = key, 1 << level
             for dx in range(span):
                 for dy in range(span):
                     for dz in range(span):

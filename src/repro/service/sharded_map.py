@@ -22,7 +22,6 @@ in supervised child processes.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -34,7 +33,7 @@ from repro.kernels import validate_kernel
 from repro.memsight.report import MemoryReport
 from repro.octree.key import VoxelKey, coord_to_key, key_to_coord
 from repro.octree.occupancy import OccupancyParams
-from repro.octree.rayquery import RayHit
+from repro.octree.rayquery import RayHit, clamped_endpoint, first_hit
 from repro.octree.serialize import tree_to_bytes
 from repro.octree.tree import OccupancyOctree
 from repro.resilience.faults import FaultPlan
@@ -332,40 +331,13 @@ class MapBackend:
         cache-then-octree read, so planners see exactly what a serially
         built map would show — including voxels still resident in a shard
         cache.  The walk may cross shard boundaries; the range is clamped
-        to the map boundary.
+        to the map boundary (:func:`~repro.octree.rayquery.clamped_endpoint`).
         """
-        norm = math.sqrt(sum(c * c for c in direction))
-        if norm == 0.0:
-            raise ValueError("direction must be non-zero")
-        unit = tuple(c / norm for c in direction)
-        half = self.resolution * (1 << (self.depth - 1))
-        margin = self.resolution * 1e-3
-        travel = max_range
-        for o, d in zip(origin, unit):
-            if d > 0:
-                travel = min(travel, (half - margin - o) / d)
-            elif d < 0:
-                travel = min(travel, (-half + margin - o) / d)
-        travel = max(travel, 0.0)
-        endpoint = tuple(o + d * travel for o, d in zip(origin, unit))
+        endpoint = clamped_endpoint(self, origin, direction, max_range)
+        # Both ends included: the origin's voxel first, the endpoint's last.
         keys = compute_ray_keys(origin, endpoint, self.resolution, self.depth)
         keys.append(self._key_of(endpoint))
-        last: Optional[VoxelKey] = None
-        for key, value in zip(keys, self._values_along(keys)):
-            if value is None:
-                if not ignore_unknown:
-                    return RayHit(
-                        hit=False,
-                        key=key,
-                        endpoint=self._coord_of(key),
-                        blocked_by_unknown=True,
-                    )
-            elif self.params.is_occupied(value):
-                return RayHit(hit=True, key=key, endpoint=self._coord_of(key))
-            last = key
-        if last is None:
-            return RayHit(hit=False, key=None, endpoint=None)
-        return RayHit(hit=False, key=last, endpoint=self._coord_of(last))
+        return first_hit(self, keys, self._values_along(keys), ignore_unknown)
 
     def occupied_in_box(self, min_coord: Coord, max_coord: Coord) -> List[VoxelKey]:
         """Occupied finest-level keys inside an inclusive metric box.

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.morton import (
     MAX_COORD_BITS,
@@ -151,3 +151,23 @@ class TestCommonPrefix:
     @given(coords, coords)
     def test_symmetry(self, a, b):
         assert common_prefix_depth(a, b, 21) == common_prefix_depth(b, a, 21)
+
+    @given(
+        st.integers(min_value=0, max_value=(1 << 63) - 1),
+        st.integers(min_value=0, max_value=(1 << 63) - 1),
+        st.integers(min_value=0, max_value=21),
+        st.integers(min_value=0, max_value=62),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_equals_the_per_level_loop(self, a, flips, levels, keep):
+        """The loop ``common_prefix_depth`` was: compare 3-bit groups from
+        the top until one differs.  ``b`` shares ``a``'s bits above
+        ``keep``, so long shared prefixes are common, not one in 8**n."""
+        b = a ^ (flips & ((1 << keep) - 1))
+        depth = 0
+        for level in range(levels - 1, -1, -1):
+            shift = 3 * level
+            if (a >> shift) & 0b111 != (b >> shift) & 0b111:
+                break
+            depth += 1
+        assert common_prefix_depth(a, b, levels) == depth

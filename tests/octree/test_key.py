@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.core.morton import morton_encode3
+from repro.core.morton import common_prefix_depth, morton_encode3
 from repro.octree.key import (
+    ancestor_level,
     child_index,
     coord_to_key,
     coords_to_keys,
@@ -108,3 +109,32 @@ class TestChildIndex:
         for level in range(DEPTH):
             idx = child_index((123, 456, 789), level)
             assert 0 <= idx <= 7
+
+
+class TestAncestorLevel:
+    def test_same_siblings_and_opposite_octants(self):
+        assert ancestor_level((5, 6, 7), (5, 6, 7)) == 0
+        assert ancestor_level((4, 6, 2), (5, 6, 2)) == 1
+        assert ancestor_level((0, 0, 0), (0, 1 << (DEPTH - 1), 0)) == DEPTH
+
+    @given(
+        st.tuples(*[st.integers(0, (1 << DEPTH) - 1)] * 3),
+        st.tuples(*[st.integers(0, (1 << DEPTH) - 1)] * 3),
+        st.integers(0, DEPTH),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_equals_the_per_level_loop(self, a, flips, keep):
+        """The loop ``PathCachingInserter._shared_depth`` was: compare
+        child slots from the root down until one differs."""
+        b = tuple(x ^ (f & ((1 << keep) - 1)) for x, f in zip(a, flips))
+        shared = 0
+        for level in range(DEPTH - 1, -1, -1):
+            if child_index(a, level) != child_index(b, level):
+                break
+            shared += 1
+        assert DEPTH - ancestor_level(a, b) == shared
+        assert ancestor_level(a, b) == ancestor_level(b, a)
+        # The same depth read off the Morton codes.
+        assert shared == common_prefix_depth(
+            morton_encode3(*a), morton_encode3(*b), DEPTH
+        )
