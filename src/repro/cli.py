@@ -11,7 +11,6 @@ Subcommands mirror the main experiment families, plus the service layer::
     python -m repro chaos-bench --crash-shard 0 --report-out chaos.json
     python -m repro load-bench  --quick --json
     python -m repro mem-bench   --quick --tenants 3
-    python -m repro perf-bench  --quick
     python -m repro perf-check  --baseline benchmarks/perf_baseline.json
 
 Each prints the same style of table the benchmark harness writes to
@@ -53,7 +52,7 @@ def _add_bench_workload_args(
     """The workload knobs every ``*-bench`` command shares.
 
     One definition keeps ``serve-bench`` / ``trace-bench`` /
-    ``chaos-bench`` / ``perf-bench`` in lock-step about what a workload
+    ``chaos-bench`` / ``load-bench`` in lock-step about what a workload
     is (dataset choices, truncation, ray scaling) — they all feed
     :func:`repro.datasets.workload.load_bench_workload`.
     """
@@ -364,32 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mem.add_argument(
         "--json", action="store_true", help="emit the report dict as JSON"
-    )
-
-    perf = sub.add_parser(
-        "perf-bench",
-        help="run the pinned perf suite and append to BENCH_<host>.json",
-    )
-    _add_bench_workload_args(perf, include_batches=False)
-    perf.add_argument(
-        "--quick",
-        action="store_true",
-        help="smaller workload and fewer repeats (the CI smoke profile)",
-    )
-    perf.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        help="median-of-N repeats per timed metric (default 3, quick 2)",
-    )
-    perf.add_argument(
-        "--out",
-        default=None,
-        metavar="BENCH.JSON",
-        help="append to this file instead of benchmarks/BENCH_<host>.json",
-    )
-    perf.add_argument(
-        "--json", action="store_true", help="also print the entry as JSON"
     )
 
     check = sub.add_parser(
@@ -883,39 +856,6 @@ def _cmd_mem_bench(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_perf_bench(args: argparse.Namespace) -> int:
-    from repro.obs.perf import append_bench_entry, bench_path_for_host, run_perf_bench
-
-    run = run_perf_bench(
-        dataset_name=args.dataset,
-        quick=args.quick,
-        repeats=args.repeats,
-        resolution=args.resolution,
-        depth=args.depth,
-        workers=args.workers,
-        num_procs=args.num_procs,
-        kernel=args.kernel,
-    )
-    path = args.out or bench_path_for_host("benchmarks")
-    length = append_bench_entry(run, path)
-    rows = [
-        [name, f"{value:g}", run.units.get(name, ""), run.directions.get(name, "")]
-        for name, value in sorted(run.metrics.items())
-    ]
-    print(
-        f"perf-bench: {'quick' if run.quick else 'full'} suite on "
-        f"{run.env.get('host', '?')}, median of {run.repeats}, "
-        f"{run.elapsed_seconds:.1f}s"
-    )
-    print(format_table(["metric", "value", "unit", "better"], rows))
-    print(f"\nentry {length} appended to {path}")
-    if args.json:
-        import json
-
-        print(json.dumps(run.to_dict(), indent=2))
-    return 0
-
-
 def _cmd_perf_check(args: argparse.Namespace) -> int:
     import json
 
@@ -984,7 +924,6 @@ _COMMANDS = {
     "chaos-bench": _cmd_chaos_bench,
     "load-bench": _cmd_load_bench,
     "mem-bench": _cmd_mem_bench,
-    "perf-bench": _cmd_perf_bench,
     "perf-check": _cmd_perf_check,
 }
 

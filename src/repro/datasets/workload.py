@@ -1,6 +1,6 @@
 """One shared workload loader for every bench command.
 
-``serve-bench``, ``trace-bench``, ``chaos-bench``, and ``perf-bench``
+``serve-bench``, ``trace-bench``, ``chaos-bench``, and ``load-bench``
 all drive a named procedural dataset's scan stream through some layer of
 the system.  They used to each re-implement the same three lines
 (construct the dataset, materialise the scans, truncate); this helper is

@@ -46,8 +46,8 @@ def _grouping_order(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     Any injective code yields the same groups, and every output is
     emitted in first-touch order — so the code layout is free to chase
     sort speed.  When all coordinates fit 10 bits (maps of depth <= 10:
-    ``perf-bench``'s default) the code packs into 30 bits and the sort
-    runs as a two-pass LSD radix over uint16 digits, where numpy's
+    the ``*-bench`` commands' default) the code packs into 30 bits and
+    the sort runs as a two-pass LSD radix over uint16 digits, where numpy's
     stable argsort uses a counting sort ~9x faster than the int64
     comparison sort; otherwise it falls back to one stable argsort of
     the wide packed code.  The repo benchmark (``bench/``) runs

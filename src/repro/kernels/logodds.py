@@ -26,7 +26,7 @@ from repro.octree.occupancy import OccupancyParams
 __all__ = ["fold_logodds"]
 
 #: Below this many active voxels a round is cheaper in pure Python
-#: (tuned on the perf-bench workload: per-call numpy overhead crosses
+#: (tuned on the depth-10 corridor workload: per-call numpy overhead crosses
 #: the scalar loop's per-element cost around this prefix size).
 _SCALAR_TAIL = 64
 

@@ -6,7 +6,7 @@ open-loop, so offered load is independent of service latency — and
 evaluates the stock SLOs per ramp step.  The first step where an
 objective burns is the **saturation knee**; the last clean step's
 throughput is the machine's ``capacity_scans_per_s``, gated by
-``perf-check`` alongside the rest of the perf suite.
+``perf-check --metrics capacity_scans_per_s,ingest_p99_ms``.
 
 See ``docs/observability.md`` ("Capacity curves") for how to read the
 output.

@@ -149,12 +149,12 @@ class LoadBenchReport:
         }
 
     def to_bench_entry(self) -> Dict[str, object]:
-        """A ``BENCH_<host>.json`` entry (the PerfRun shape + the curve).
+        """A ``BENCH_<host>.json`` entry (metrics + the curve).
 
         Carries only the two load metrics, so gate it with
         ``perf-check --metrics capacity_scans_per_s,ingest_p99_ms`` —
-        a full-baseline check against this entry would flag the perf
-        suite's other metrics as missing.
+        a full-baseline check against this entry would flag
+        ``mem-bench``'s metrics as missing.
         """
         from repro.obs.perf import environment_fingerprint
 

@@ -25,7 +25,7 @@ suite):
    are the durable copy eviction exists to keep).
 
 Run it as ``python -m repro mem-bench``; the entry appends to the same
-``BENCH_<host>.json`` series the perf suite uses and is gated by
+``BENCH_<host>.json`` series ``load-bench`` writes and is gated by
 ``perf-check --metrics bytes_per_voxel,mem_accounting_drift``.
 """
 
@@ -117,7 +117,7 @@ class MemBenchReport:
 
         Deliberately a *subset* entry (like ``load-bench``'s): gate it
         with ``perf-check --metrics bytes_per_voxel,mem_accounting_drift``
-        so the perf suite's metrics are not flagged as dropped.
+        so ``load-bench``'s metrics are not flagged as dropped.
         """
         metrics = {
             "bytes_per_voxel": {

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import asdict
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import CacheConfig
 from repro.memsight.report import MemoryReport
@@ -398,12 +398,6 @@ class ProcessShardedMap(MapBackend):
         if body is None:
             return [None] * len(keys)
         return codec.decode_values(body)
-
-    def _values_along(self, keys: List[VoxelKey]) -> Iterable[Optional[float]]:
-        # One batched query per shard the ray crosses, not one round
-        # trip per voxel.
-        answers = self.query_keys(keys)
-        return [answers[key] for key in keys]
 
     def _box_in_shard(
         self, shard_id: int, min_key: VoxelKey, max_key: VoxelKey

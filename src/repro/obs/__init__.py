@@ -16,9 +16,9 @@ makes those internals *operational*:
 - :mod:`repro.obs.logging` — structured JSON log records stamped with
   the active telemetry span id/category, so traces, logs, and metric
   deltas from the same batch join on one key.
-- :mod:`repro.obs.perf` — the ``perf-bench`` suite, the append-only
-  ``BENCH_<host>.json`` time series, and the ``perf-check`` regression
-  gate.
+- :mod:`repro.obs.perf` — the append-only ``BENCH_<host>.json`` time
+  series ``load-bench`` / ``mem-bench`` write, and the ``perf-check``
+  regression gate over it.
 
 See ``docs/observability.md`` for the operating guide.
 """
@@ -32,12 +32,10 @@ from repro.obs.logging import (
 )
 from repro.obs.perf import (
     CheckResult,
-    PerfRun,
     append_bench_entry,
     bench_path_for_host,
     check_regressions,
     load_latest_entry,
-    run_perf_bench,
     write_baseline,
 )
 from repro.obs.slo import (
@@ -51,7 +49,6 @@ __all__ = [
     "AdminServer",
     "CheckResult",
     "JsonLogFormatter",
-    "PerfRun",
     "SLOEngine",
     "SLObjective",
     "SpanContextFilter",
@@ -65,6 +62,5 @@ __all__ = [
     "load_latest_entry",
     "readiness",
     "render_prometheus",
-    "run_perf_bench",
     "write_baseline",
 ]

@@ -1,46 +1,15 @@
-"""The performance-regression watchdog: ``perf-bench`` + ``perf-check``.
+"""The bench series and its regression gate: ``perf-check``.
 
-``run_perf_bench`` runs a pinned suite of the hot-path measurements the
-paper's evaluation revolves around and reduces each to one number
-(median of N runs — single runs of sub-second Python workloads are far
-too noisy to gate on):
+``load-bench`` and ``mem-bench`` each reduce a run to a few named
+metrics; this module is where those entries are recorded and gated:
 
-- ``scan_insert_throughput`` — voxel observations per second through the
-  serial ``OctoCacheMap`` insert path (ray trace → cache → evict →
-  octree), the paper's headline workload.
-- ``cache_hit_ratio`` — the insert-path voxel-cache hit ratio of that
-  same construction (Fig. 23's metric; deterministic).
-- ``multicore_speedup`` — measured, not modeled: wall clock of the same
-  pre-traced workload through a process-backed
-  ``OccupancyMapService`` with one worker process vs. one per core
-  (capped), same shard count both sides.  Floor-gated at 1.0 so 1-core
-  CI still passes; a multi-core host should clear 1.4×.
-- ``multicore_map_agreement`` — occupancy-decision agreement of the
-  multi-process run's snapshot against a serially built map; gated at
-  exactly 1.0 (the speedup only counts if the answers stay bit-exact).
-- ``vector_ingest_speedup`` — best-of-N wall clock of the scalar serial
-  build over best-of-N of the vector-kernel build of the same workload
-  (``repro.kernels``: batched ray tracing + grouped bulk log-odds
-  apply).  Best-of-N (not median) because single sub-second builds
-  fluctuate ±15% on shared runners; the minimum is the stable estimate
-  of each kernel's true cost.
-- ``vector_map_agreement`` — occupancy-decision agreement of the vector
-  build's finalized octree against the scalar build's; gated at exactly
-  1.0 (the kernels are bit-exact by contract, not approximately equal).
-- ``simcache_hit_ratio`` — innermost-level hit ratio of a recorded
-  octree-update trace replayed through the modeled Jetson-TX2 hierarchy
-  (fully deterministic: same trace, same hierarchy, same ratio).
-- ``serve_throughput`` — scans per second through a sharded
-  ``OccupancyMapService`` under multi-client load (queues, locks,
-  backpressure included).
-- ``trace_overhead_ratio`` — insert-path wall time with tracing enabled
-  (ring sink) over tracing disabled; guards the "observability is
-  near-free" budget.
 - ``capacity_scans_per_s`` / ``ingest_p99_ms`` — the saturation knee
   from a :func:`repro.loadgen.run_load_bench` open-loop ramp: the
   fastest SLO-clean throughput step and its end-to-end p99.  The floor
   gate that catches "still correct, but the machine saturates at half
   the load it used to".
+- ``tenant_fairness_ratio`` — the same ramp in fleet mode: max/min
+  per-tenant served throughput at the capacity step.
 - ``bytes_per_voxel`` / ``mem_accounting_drift`` — the memory
   observability gate (:func:`repro.memsight.bench.run_mem_bench`):
   accounted map bytes per distinct observed voxel, and the worst
@@ -52,8 +21,9 @@ too noisy to gate on):
 ``BENCH_<host>.json`` time series (with an environment fingerprint, so
 numbers from different machines are never naively compared), and
 ``check_regressions`` compares the latest entry against a committed
-baseline with per-metric direction + tolerance — the CI gate that makes
-a silent hot-path regression loud.
+baseline with per-metric direction + tolerance.  Throughput, hit
+ratios and map agreement are measured by the repo benchmark
+(``python3 -m bench``), not here.
 """
 
 from __future__ import annotations
@@ -62,122 +32,30 @@ import json
 import os
 import platform
 import socket
-import statistics
 import subprocess
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
-
-from repro.core.octocache import OctoCacheMap
-from repro.datasets.workload import BenchWorkload, load_bench_workload
 
 __all__ = [
     "CheckResult",
     "MetricCheck",
-    "PerfRun",
     "append_bench_entry",
     "bench_path_for_host",
     "check_regressions",
     "default_baseline",
     "load_latest_entry",
-    "run_perf_bench",
     "write_baseline",
 ]
 
 #: Default per-metric relative tolerances for ``--update-baseline``.
-#: Throughputs swing with machine load; simulated ratios barely move.
+#: Wall-clock numbers swing with machine load; the byte ledger must not
+#: drift at all.
 _DEFAULT_TOLERANCE = {
-    "scan_insert_throughput": 0.45,
-    "serve_throughput": 0.45,
-    "trace_overhead_ratio": 0.40,
-    "multicore_speedup": 0.30,
-    "multicore_map_agreement": 0.0,
-    "vector_ingest_speedup": 0.45,
-    "vector_map_agreement": 0.0,
-    "cache_hit_ratio": 0.10,
-    "simcache_hit_ratio": 0.10,
     "capacity_scans_per_s": 0.45,
     "ingest_p99_ms": 0.45,
     "bytes_per_voxel": 0.45,
     "mem_accounting_drift": 0.0,
 }
-
-_DIRECTIONS = {
-    "scan_insert_throughput": "higher",
-    "cache_hit_ratio": "higher",
-    "multicore_speedup": "higher",
-    "multicore_map_agreement": "higher",
-    "vector_ingest_speedup": "higher",
-    "vector_map_agreement": "higher",
-    "simcache_hit_ratio": "higher",
-    "serve_throughput": "higher",
-    "trace_overhead_ratio": "lower",
-    "capacity_scans_per_s": "higher",
-    "ingest_p99_ms": "lower",
-    "bytes_per_voxel": "lower",
-    "mem_accounting_drift": "lower",
-}
-
-_UNITS = {
-    "scan_insert_throughput": "obs/s",
-    "cache_hit_ratio": "ratio",
-    "multicore_speedup": "x",
-    "multicore_map_agreement": "ratio",
-    "vector_ingest_speedup": "x",
-    "vector_map_agreement": "ratio",
-    "simcache_hit_ratio": "ratio",
-    "serve_throughput": "scans/s",
-    "trace_overhead_ratio": "x",
-    "capacity_scans_per_s": "scans/s",
-    "ingest_p99_ms": "ms",
-    "bytes_per_voxel": "B/voxel",
-    "mem_accounting_drift": "bytes",
-}
-
-
-@dataclass
-class PerfRun:
-    """One complete suite run (one time-series entry).
-
-    Attributes:
-        metrics: metric name → median value.
-        samples: metric name → every repeat's value (the median's input).
-        directions / units: per-metric metadata, embedded so the series
-            file is self-describing.
-        env: environment fingerprint (host, python, platform, commit).
-        quick: whether the reduced CI-sized workload was used.
-        repeats: runs per measured metric (median-of-N).
-        elapsed_seconds: suite wall time.
-        timestamp: epoch seconds at suite start.
-    """
-
-    metrics: Dict[str, float] = field(default_factory=dict)
-    samples: Dict[str, List[float]] = field(default_factory=dict)
-    directions: Dict[str, str] = field(default_factory=dict)
-    units: Dict[str, str] = field(default_factory=dict)
-    env: Dict[str, object] = field(default_factory=dict)
-    quick: bool = False
-    repeats: int = 3
-    elapsed_seconds: float = 0.0
-    timestamp: float = 0.0
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "timestamp": self.timestamp,
-            "quick": self.quick,
-            "repeats": self.repeats,
-            "elapsed_seconds": self.elapsed_seconds,
-            "env": dict(self.env),
-            "metrics": {
-                name: {
-                    "value": value,
-                    "unit": self.units.get(name, ""),
-                    "direction": self.directions.get(name, "higher"),
-                    "samples": list(self.samples.get(name, [value])),
-                }
-                for name, value in sorted(self.metrics.items())
-            },
-        }
 
 
 def environment_fingerprint(
@@ -217,426 +95,6 @@ def environment_fingerprint(
     return env
 
 
-def _record(run: PerfRun, name: str, samples: Sequence[float]) -> None:
-    run.samples[name] = [float(sample) for sample in samples]
-    run.metrics[name] = float(statistics.median(samples))
-    run.directions[name] = _DIRECTIONS[name]
-    run.units[name] = _UNITS[name]
-
-
-def _construction_samples(
-    workload: BenchWorkload,
-    resolution: float,
-    depth: int,
-    repeats: int,
-    kernel: str = "scalar",
-):
-    """(throughput, hit_ratio) samples from repeated builds."""
-    throughputs: List[float] = []
-    hit_ratios: List[float] = []
-    for _ in range(repeats):
-        mapping = OctoCacheMap(
-            resolution=resolution,
-            depth=depth,
-            max_range=workload.max_range,
-            kernel=kernel,
-        )
-        start = time.perf_counter()
-        for cloud in workload:
-            mapping.insert_point_cloud(cloud)
-        hit_ratios.append(mapping.cache.stats.hit_ratio)
-        mapping.finalize()
-        elapsed = time.perf_counter() - start
-        observations = sum(record.observations for record in mapping.batches)
-        throughputs.append(observations / elapsed if elapsed > 0 else 0.0)
-    return throughputs, hit_ratios
-
-
-def _vector_kernel_samples(
-    workload: BenchWorkload,
-    resolution: float,
-    depth: int,
-    repeats: int,
-):
-    """Scalar-vs-vector contrast: ``(speedup, agreement)`` single samples.
-
-    Builds the same workload ``repeats + 5`` times per kernel and takes
-    the **minimum** wall clock of each side before forming the ratio —
-    sub-second builds fluctuate double-digit percent on shared machines
-    and the minimum, not the median of noisy ratios, estimates each
-    kernel's true cost.  The timed region runs with the cyclic garbage
-    collector paused (collected between builds), pyperf-style: gen-2
-    collections otherwise land mid-build and charge several ms to
-    whichever kernel they interrupt — mostly the faster one, in relative
-    terms.  The agreement sample compares the finalized octrees of the
-    last build pair; the kernels are bit-exact by contract, so anything
-    below 1.0 is a correctness bug, not noise.
-    """
-    import gc
-
-    from repro.octree.merge import map_agreement
-
-    def build(kernel: str):
-        mapping = OctoCacheMap(
-            resolution=resolution,
-            depth=depth,
-            max_range=workload.max_range,
-            kernel=kernel,
-        )
-        gc.collect()
-        start = time.perf_counter()
-        for cloud in workload:
-            mapping.insert_point_cloud(cloud)
-        mapping.finalize()
-        return time.perf_counter() - start, mapping
-
-    # The minimum-of-builds estimator needs more samples than the mean
-    # to converge; builds are ~0.15 s here, so the extra repeats cost
-    # little against the rest of the suite.
-    builds = repeats + 5
-    scalar_times: List[float] = []
-    vector_times: List[float] = []
-    scalar_map = vector_map = None
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(builds):
-            elapsed, scalar_map = build("scalar")
-            scalar_times.append(elapsed)
-            elapsed, vector_map = build("vector")
-            vector_times.append(elapsed)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    best_vector = min(vector_times)
-    speedup = min(scalar_times) / best_vector if best_vector > 0 else 0.0
-    agreement = float(
-        map_agreement(
-            scalar_map.octree, vector_map.octree
-        ).decision_agreement
-    )
-    return [speedup], [agreement]
-
-
-def _simcache_hit_ratio(
-    workload: BenchWorkload, resolution: float, depth: int
-) -> float:
-    from repro.octree.instrumented import recorded_octree
-    from repro.sensor.scaninsert import trace_scan
-    from repro.simcache.trace import replay_trace
-
-    tree, recorder = recorded_octree(resolution=resolution, depth=depth)
-    batch = trace_scan(
-        workload.scans[0], resolution, depth, max_range=workload.max_range
-    )
-    for key, occupied in batch.observations:
-        tree.update_node(key, occupied)
-    replay = replay_trace(recorder.trace[:60_000])
-    return float(replay.level_hit_ratios[0])
-
-
-def _serve_throughput_samples(
-    dataset_name: str,
-    resolution: float,
-    depth: int,
-    batches: int,
-    ray_scale: float,
-    repeats: int,
-    workers: str = "thread",
-    num_procs: Optional[int] = None,
-    kernel: str = "scalar",
-) -> List[float]:
-    from repro.service.workload import run_serve_bench
-
-    samples: List[float] = []
-    for _ in range(repeats):
-        report = run_serve_bench(
-            dataset_name=dataset_name,
-            shards=2,
-            clients=2,
-            resolution=resolution,
-            depth=depth,
-            max_batches=batches,
-            queries_per_scan=1,
-            ray_scale=ray_scale,
-            workers=workers,
-            num_procs=num_procs,
-            kernel=kernel,
-        )
-        samples.append(
-            report.scans / report.elapsed_seconds
-            if report.elapsed_seconds > 0
-            else 0.0
-        )
-    return samples
-
-
-def _multicore_samples(
-    workload: BenchWorkload,
-    resolution: float,
-    depth: int,
-    repeats: int,
-):
-    """Measured multi-core gain: 1 worker process vs. one per core.
-
-    Both sides run the *same* process-backed service shape (same shard
-    count, same pre-traced observation stream, checkpointing off), so
-    the only variable is how many cores execute shard compute.  Returns
-    ``(speedups, agreements, procs)`` where each agreement sample is the
-    multi-process snapshot's occupancy-decision agreement against a
-    serially built map — the speedup is meaningless unless it is 1.0.
-    """
-    from repro.octree.merge import map_agreement
-    from repro.sensor.scaninsert import trace_scan
-    from repro.service.server import OccupancyMapService, ServiceConfig
-
-    procs = max(1, min(os.cpu_count() or 1, 4))
-    shards = max(2, procs)
-    # Pre-trace once so the timed section is pure shard compute + IPC
-    # (ray tracing runs on the producer thread in both configurations
-    # and would only dilute the contrast).
-    batches = [
-        trace_scan(
-            cloud, resolution, depth, max_range=workload.max_range
-        )
-        for cloud in workload
-    ]
-
-    def run_once(num_procs: int):
-        config = ServiceConfig(
-            resolution=resolution,
-            depth=depth,
-            num_shards=shards,
-            queue_capacity=16,
-            coalesce=1,
-            max_range=workload.max_range,
-            snapshot_interval=0,
-            workers="process",
-            num_procs=num_procs,
-        )
-        with OccupancyMapService(config) as service:
-            start = time.perf_counter()
-            for batch in batches:
-                service.submit_observations(batch, must_accept=True)
-            service.flush()
-            elapsed = time.perf_counter() - start
-            snapshot = service.snapshot()
-        return elapsed, snapshot
-
-    serial = OctoCacheMap(
-        resolution=resolution, depth=depth, max_range=workload.max_range
-    )
-    for batch in batches:
-        serial.insert_batch(batch)
-    serial.finalize()
-    speedups: List[float] = []
-    agreements: List[float] = []
-    for _ in range(repeats):
-        single, _snapshot = run_once(1)
-        multi, snapshot = run_once(procs)
-        speedups.append(single / multi if multi > 0 else 0.0)
-        agreements.append(
-            float(map_agreement(serial.octree, snapshot).decision_agreement)
-        )
-    return speedups, agreements, procs
-
-
-def _trace_overhead_samples(
-    workload: BenchWorkload,
-    resolution: float,
-    depth: int,
-    repeats: int,
-) -> List[float]:
-    from repro.telemetry.sinks import RingBufferSink
-    from repro.telemetry.tracer import tracing
-
-    def build(traced: bool) -> float:
-        mapping = OctoCacheMap(
-            resolution=resolution, depth=depth, max_range=workload.max_range
-        )
-        start = time.perf_counter()
-        if traced:
-            with tracing(RingBufferSink(capacity=4096)):
-                for cloud in workload:
-                    mapping.insert_point_cloud(cloud)
-                mapping.finalize()
-        else:
-            for cloud in workload:
-                mapping.insert_point_cloud(cloud)
-            mapping.finalize()
-        return time.perf_counter() - start
-
-    samples: List[float] = []
-    for _ in range(repeats):
-        # Interleave off/on so drift (cache warmth, frequency scaling)
-        # hits both sides equally.
-        off = build(traced=False)
-        on = build(traced=True)
-        samples.append(on / off if off > 0 else 1.0)
-    return samples
-
-
-def _capacity_samples(
-    dataset_name: str,
-    resolution: float,
-    depth: int,
-    quick: bool,
-    workers: str = "thread",
-    num_procs: Optional[int] = None,
-    kernel: str = "scalar",
-):
-    """One open-loop ramp → ``(capacity_scans_per_s, ingest_p99_ms)``.
-
-    A single ramp, not median-of-N: each ramp already holds multiple
-    steps and the capacity number comes from the fastest *clean* step,
-    which is itself a maximum over the ramp — repeating whole ramps
-    would triple the suite's wall time for little extra stability, and
-    the baseline tolerance is sized for machine-to-machine swing anyway.
-    """
-    from repro.loadgen import run_load_bench
-
-    report = run_load_bench(
-        dataset_name=dataset_name,
-        resolution=resolution,
-        depth=depth,
-        quick=quick,
-        workers=workers,
-        num_procs=num_procs,
-        kernel=kernel,
-    )
-    return [report.capacity_scans_per_s], [report.ingest_p99_ms]
-
-
-def _mem_samples(
-    dataset_name: str, quick: bool, resolution: float, depth: int
-):
-    """One mem-bench pass → ``(bytes_per_voxel, mem_accounting_drift)``.
-
-    Single samples, not median-of-N: both numbers are deterministic
-    functions of the workload (modeled byte constants, not wall clock),
-    so repeats would measure nothing but the suite's patience.
-    """
-    from repro.memsight.bench import run_mem_bench
-
-    report = run_mem_bench(
-        dataset_name=dataset_name,
-        quick=quick,
-        resolution=resolution,
-        depth=depth,
-        tenants=2,
-        growth_steps=2,
-    )
-    return [report.bytes_per_voxel], [report.mem_accounting_drift]
-
-
-def run_perf_bench(
-    dataset_name: str = "fr079_corridor",
-    quick: bool = False,
-    repeats: Optional[int] = None,
-    resolution: float = 0.3,
-    depth: int = 10,
-    workers: str = "thread",
-    num_procs: Optional[int] = None,
-    kernel: str = "scalar",
-) -> PerfRun:
-    """Run the pinned perf suite; returns the time-series entry.
-
-    ``quick`` shrinks the workload (fewer scans, fewer repeats) to CI
-    smoke size; the metric *names* are identical either way, so quick
-    runs and full runs live in the same series and the same baseline
-    gates both.
-
-    ``workers``/``num_procs`` pick the service backend for the
-    ``serve_throughput`` phase and are stamped into the environment
-    fingerprint.  The ``multicore_speedup`` phase always runs the
-    process backend (1 process vs. one per core) regardless — that
-    contrast *is* the metric.
-
-    ``kernel`` picks the ingest kernel for the construction and serve
-    phases (stamped into the fingerprint).  The ``vector_ingest_speedup``
-    / ``vector_map_agreement`` phase always builds with *both* kernels —
-    that contrast is the metric — so the vector gate holds no matter
-    which kernel the rest of the suite ran.
-    """
-    batches = 4 if quick else 10
-    ray_scale = 0.3 if quick else 0.5
-    if repeats is None:
-        repeats = 2 if quick else 3
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    from repro.kernels import validate_kernel
-
-    validate_kernel(kernel)
-    run = PerfRun(quick=quick, repeats=repeats)
-    run.timestamp = time.time()
-    run.env = environment_fingerprint(workers=workers, num_procs=num_procs)
-    run.env["kernel"] = kernel
-    suite_start = time.perf_counter()
-
-    workload = load_bench_workload(
-        dataset_name, ray_scale=ray_scale, max_batches=batches
-    )
-    throughputs, hit_ratios = _construction_samples(
-        workload, resolution, depth, repeats, kernel=kernel
-    )
-    _record(run, "scan_insert_throughput", throughputs)
-    _record(run, "cache_hit_ratio", hit_ratios)
-    _record(
-        run,
-        "simcache_hit_ratio",
-        [_simcache_hit_ratio(workload, resolution, depth)],
-    )
-    vk_speedups, vk_agreements = _vector_kernel_samples(
-        workload, resolution, depth, repeats
-    )
-    _record(run, "vector_ingest_speedup", vk_speedups)
-    _record(run, "vector_map_agreement", vk_agreements)
-    _record(
-        run,
-        "serve_throughput",
-        _serve_throughput_samples(
-            dataset_name,
-            resolution,
-            depth,
-            batches,
-            ray_scale,
-            repeats,
-            workers=workers,
-            num_procs=num_procs,
-            kernel=kernel,
-        ),
-    )
-    _record(
-        run,
-        "trace_overhead_ratio",
-        _trace_overhead_samples(workload, resolution, depth, repeats),
-    )
-    mc_speedups, mc_agreements, mc_procs = _multicore_samples(
-        workload, resolution, depth, repeats
-    )
-    run.env["multicore_procs"] = mc_procs
-    _record(run, "multicore_speedup", mc_speedups)
-    _record(run, "multicore_map_agreement", mc_agreements)
-    capacities, p99s = _capacity_samples(
-        dataset_name,
-        resolution,
-        depth,
-        quick,
-        workers=workers,
-        num_procs=num_procs,
-        kernel=kernel,
-    )
-    _record(run, "capacity_scans_per_s", capacities)
-    _record(run, "ingest_p99_ms", p99s)
-    bytes_per_voxel, mem_drift = _mem_samples(
-        dataset_name, quick, resolution, depth
-    )
-    _record(run, "bytes_per_voxel", bytes_per_voxel)
-    _record(run, "mem_accounting_drift", mem_drift)
-    run.elapsed_seconds = time.perf_counter() - suite_start
-    return run
-
-
 # ----------------------------------------------------------------------
 # The BENCH_<host>.json time series.
 # ----------------------------------------------------------------------
@@ -651,15 +109,14 @@ def bench_path_for_host(directory: str = ".") -> str:
     return os.path.join(directory, f"BENCH_{host or 'unknown'}.json")
 
 
-def append_bench_entry(run, path: str) -> int:
+def append_bench_entry(entry: Dict[str, object], path: str) -> int:
     """Append one entry to the series file; returns the new length.
 
-    ``run`` is a :class:`PerfRun` or an already-shaped entry dict (the
-    ``load-bench`` report emits one directly).  The file is a JSON array
-    ordered oldest-first.  Entries are only ever appended — rewriting
-    history would defeat the point of a regression record.
+    ``entry`` is what a driver's ``to_bench_entry()`` returns.  The file
+    is a JSON array ordered oldest-first.  Entries are only ever
+    appended — rewriting history would defeat the point of a regression
+    record.
     """
-    entry = run.to_dict() if hasattr(run, "to_dict") else dict(run)
     if "metrics" not in entry:
         raise ValueError("bench entry must carry a 'metrics' mapping")
     series: List[Dict[str, object]] = []
@@ -753,16 +210,16 @@ def check_regressions(
 
     The baseline maps metric name → ``{"value", "tolerance",
     "direction"}``.  A metric the baseline names but the entry lacks is a
-    regression (the suite silently dropping a measurement is exactly the
+    regression (a driver silently dropping a measurement is exactly the
     failure mode a watchdog exists for); a measured metric the baseline
     doesn't know is reported but never fails the check (new metrics land
     before their baselines do).
 
-    ``only`` restricts the gate to those metric names — for entries
-    that deliberately carry a subset (a ``load-bench`` entry holds only
-    the capacity metrics; checking it against the full baseline would
-    flag the perf suite's metrics as dropped).  Naming a metric the
-    baseline lacks is an error, not a silent pass.
+    ``only`` restricts the gate to those metric names — every entry
+    carries a subset (a ``load-bench`` entry holds only the capacity
+    metrics; checking it against the full baseline would flag
+    ``mem-bench``'s as dropped).  Naming a metric the baseline lacks is
+    an error, not a silent pass.
     """
     measured: Dict[str, float] = {
         name: float(info["value"])
@@ -825,8 +282,8 @@ def write_baseline(
     """(Re)write the baseline from a series entry; returns the payload.
 
     Per-metric tolerances default to :data:`_DEFAULT_TOLERANCE` —
-    generous for wall-clock throughputs (machines differ), tight for
-    modeled/deterministic ratios.
+    generous for wall-clock numbers (machines differ), zero for the
+    deterministic drift.
     """
     chosen = dict(_DEFAULT_TOLERANCE)
     chosen.update(tolerances or {})

@@ -3,21 +3,23 @@
 Planners probe the map along candidate rays; ``cast_ray`` walks voxels
 from an origin along a direction until it meets an occupied voxel, an
 unknown voxel (optionally), the range limit, or the map boundary.
-:func:`clamped_endpoint` and :func:`first_hit` are shared with the sharded
-map's ``cast_ray``: their ``grid`` is the tree or that map.
+:func:`walk_ray` is that walk for anything shaped like a map — its
+``grid`` is the tree here and the sharded map in
+:meth:`~repro.service.sharded_map.MapBackend.cast_ray` — so a ray reads
+the same voxels and ends the same way wherever the map lives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.octree.key import VoxelKey, key_to_coord
+from repro.octree.key import VoxelKey, coord_to_key, key_to_coord
 from repro.octree.tree import OccupancyOctree
 from repro.sensor.raycast import compute_ray_keys
 
-__all__ = ["RayHit", "cast_ray", "clamped_endpoint", "first_hit"]
+__all__ = ["RayHit", "cast_ray", "clamped_endpoint", "first_hit", "walk_ray"]
 
 Coord = Tuple[float, float, float]
 
@@ -29,16 +31,15 @@ class RayHit:
     Attributes:
         hit: an occupied voxel was found.
         key: the terminating voxel (occupied voxel on a hit; the last
-            visited voxel otherwise), ``None`` when the ray never left its
-            starting voxel.
+            visited voxel otherwise).
         endpoint: metric centre of ``key``.
         blocked_by_unknown: the walk stopped at unknown space (only when
             ``ignore_unknown`` is false).
     """
 
     hit: bool
-    key: Optional[VoxelKey]
-    endpoint: Optional[Tuple[float, float, float]]
+    key: VoxelKey
+    endpoint: Tuple[float, float, float]
     blocked_by_unknown: bool = False
 
 
@@ -62,20 +63,40 @@ def clamped_endpoint(grid, origin: Coord, direction: Coord, max_range: float) ->
 def first_hit(
     grid, keys: Sequence[VoxelKey], values: Iterable[Optional[float]], ignore_unknown: bool
 ) -> RayHit:
-    """The outcome of a walk over ``keys`` (near to far) with log-odds
-    ``values``, read no further than the voxel that ends it: the first
-    occupied, the first unknown (``None``) unless ignored, else the last."""
+    """The outcome of a walk over ``keys`` (near to far, at least one) with
+    log-odds ``values``, read no further than the voxel that ends it: the
+    first occupied, the first unknown (``None``) unless ignored, else the last."""
     resolution, depth, is_occupied = grid.resolution, grid.depth, grid.params.is_occupied
-    last: Optional[VoxelKey] = None
     for key, value in zip(keys, values):
         if value is None:
             if not ignore_unknown:
                 return RayHit(False, key, key_to_coord(key, resolution, depth), True)
         elif is_occupied(value):
             return RayHit(True, key, key_to_coord(key, resolution, depth))
-        last = key
-    # ``last`` is None when the ray never left its starting voxel.
-    return RayHit(False, last, last and key_to_coord(last, resolution, depth))
+    return RayHit(False, keys[-1], key_to_coord(keys[-1], resolution, depth))
+
+
+def walk_ray(
+    grid,
+    read: Callable[[List[VoxelKey]], Iterable[Optional[float]]],
+    origin: Coord,
+    direction: Coord,
+    max_range: float,
+    ignore_unknown: bool,
+) -> RayHit:
+    """One ray over ``grid`` (its ``resolution``, ``depth`` and ``params``),
+    ``read(keys)`` giving the log-odds of the ray's voxels in order.
+
+    OctoMap's ``castRay`` convention: the origin's voxel is read first and
+    the (clamped) endpoint's last.
+    """
+    if max_range <= 0:
+        raise ValueError(f"max_range must be positive, got {max_range}")
+    endpoint = clamped_endpoint(grid, origin, direction, max_range)
+    # The stepper stops short of the endpoint's voxel.
+    keys = compute_ray_keys(origin, endpoint, grid.resolution, grid.depth)
+    keys.append(coord_to_key(endpoint, grid.resolution, grid.depth))
+    return first_hit(grid, keys, read(keys), ignore_unknown)
 
 
 def cast_ray(
@@ -87,8 +108,9 @@ def cast_ray(
 ) -> RayHit:
     """Walk the map from ``origin`` along ``direction`` up to ``max_range``.
 
-    Reads the voxels strictly between the origin's and the (clamped)
-    endpoint's, through one :meth:`~OccupancyOctree.cursor`.
+    :func:`walk_ray` over the tree, read through one
+    :meth:`~OccupancyOctree.cursor` and no further than the voxel that
+    ends the walk.
 
     Args:
         tree: the occupancy octree to query.
@@ -102,9 +124,11 @@ def cast_ray(
     Returns:
         a :class:`RayHit`; ``hit`` is true iff an occupied voxel was met.
     """
-    if max_range <= 0:
-        raise ValueError(f"max_range must be positive, got {max_range}")
-    endpoint = clamped_endpoint(tree, origin, direction, max_range)
-    # The stepper leaves out the endpoint's voxel; drop the origin's too.
-    keys = compute_ray_keys(origin, endpoint, tree.resolution, tree.depth)[1:]
-    return first_hit(tree, keys, map(tree.cursor(), keys), ignore_unknown)
+    return walk_ray(
+        tree,
+        lambda keys: map(tree.cursor(), keys),
+        origin,
+        direction,
+        max_range,
+        ignore_unknown,
+    )

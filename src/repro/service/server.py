@@ -170,11 +170,9 @@ class ServiceConfig:
             journaling, and recovery semantics are identical.
         num_procs: worker process count for ``workers="process"``
             (default: one per shard); shards are assigned round-robin.
-        mem_soft_bytes / mem_hard_bytes: total-footprint pressure
-            watermarks (accounted bytes, see ``docs/memory.md``);
-            ``None`` disables that check.
-        tenant_mem_soft_bytes / tenant_mem_hard_bytes: per-tenant
-            watermarks applied to each tenant's attributed footprint.
+        pressure: the footprint watermarks, total and per tenant, as a
+            :class:`~repro.memsight.pressure.PressureConfig` (accounted
+            bytes, see ``docs/memory.md``); none set by default.
     """
 
     resolution: float
@@ -196,19 +194,7 @@ class ServiceConfig:
     checkpoint_dir: Optional[str] = None
     workers: str = "thread"
     num_procs: Optional[int] = None
-    mem_soft_bytes: Optional[int] = None
-    mem_hard_bytes: Optional[int] = None
-    tenant_mem_soft_bytes: Optional[int] = None
-    tenant_mem_hard_bytes: Optional[int] = None
-
-    def pressure_config(self) -> PressureConfig:
-        """The watermark fields as a validated :class:`PressureConfig`."""
-        return PressureConfig(
-            soft_bytes=self.mem_soft_bytes,
-            hard_bytes=self.mem_hard_bytes,
-            tenant_soft_bytes=self.tenant_mem_soft_bytes,
-            tenant_hard_bytes=self.tenant_mem_hard_bytes,
-        )
+    pressure: PressureConfig = PressureConfig()
 
     def __post_init__(self) -> None:
         if self.resolution <= 0:
@@ -260,8 +246,6 @@ class ServiceConfig:
                     f"num_procs must be in [1, num_shards="
                     f"{self.num_shards}], got {self.num_procs}"
                 )
-        # Validates the watermark fields (non-negative, soft <= hard).
-        self.pressure_config()
 
 
 @dataclass(frozen=True)
@@ -502,9 +486,7 @@ class OccupancyMapService:
         self._outstanding = 0
         #: Watermark evaluation over the accounted footprint; advisory
         #: (gauge + log + hook), refreshed by scrapes and benches.
-        self.pressure = PressureMonitor(
-            config.pressure_config(), metrics=self.metrics
-        )
+        self.pressure = PressureMonitor(config.pressure, metrics=self.metrics)
         self._errors: List[BaseException] = []
         self._close_lock = threading.RLock()
         self._closed = False

@@ -15,6 +15,7 @@ a worker process serves its commands one at a time.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -54,6 +55,10 @@ class ShardSlots:
         self._slots: Dict[int, Dict[int, OctoCacheMap]] = {
             shard: {0: self.make_pipeline()} for shard in shard_ids
         }
+        #: ``(shard, tenant) -> batches applied``.  A slot lives as long
+        #: as the service, so it keeps this count and not its pipeline's
+        #: per-batch records.
+        self._applied: Counter = Counter()
 
     def make_pipeline(self) -> OctoCacheMap:
         """A fresh pipeline shaped like the resident ones.
@@ -82,11 +87,14 @@ class ShardSlots:
     def put(self, shard: int, tenant: int, pipeline: OctoCacheMap) -> None:
         """Install a rebuilt pipeline, replacing the slot's state whole."""
         self._of_shard(shard)[tenant] = pipeline
+        self._applied[shard, tenant] = len(pipeline.batches)
+        pipeline.batches.clear()
 
     def drop(self, shard: int, tenant: int) -> bool:
         """Free one tenant slot; ``False`` if it held nothing."""
         if tenant == 0:
             raise ValueError("tenant slot 0 (the default map) cannot be dropped")
+        self._applied.pop((shard, tenant), None)
         return self._of_shard(shard).pop(tenant, None) is not None
 
     def tenants_on(self, shard: int) -> List[int]:
@@ -99,7 +107,10 @@ class ShardSlots:
         Returns the pipeline's busy seconds for the slice.
         """
         pipeline = self.get(shard, tenant)
-        return pipeline.record_busy_seconds(pipeline.insert_batch(batch))
+        busy = pipeline.record_busy_seconds(pipeline.insert_batch(batch))
+        pipeline.batches.clear()
+        self._applied[shard, tenant] += 1
+        return busy
 
     def finalize_shard(self, shard: int) -> None:
         """Flush every slot's cache on one shard into its octree."""
@@ -170,7 +181,7 @@ class ShardSlots:
             "hit_ratio": pipeline.hit_ratio,
             "resident_voxels": pipeline.cache.resident_voxels,
             "octree_nodes": pipeline.octree.num_nodes,
-            "batches": len(pipeline.batches),
+            "batches": self._applied[shard, tenant],
             "cache": pipeline.cache.stats_dict(),
             "memory": pipeline.memory_breakdown().to_dict(),
         }

@@ -25,7 +25,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import CacheConfig
 from repro.core.octocache import OctoCacheMap
@@ -33,13 +33,12 @@ from repro.kernels import validate_kernel
 from repro.memsight.report import MemoryReport
 from repro.octree.key import VoxelKey, coord_to_key, key_to_coord
 from repro.octree.occupancy import OccupancyParams
-from repro.octree.rayquery import RayHit, clamped_endpoint, first_hit
+from repro.octree.rayquery import RayHit, walk_ray
 from repro.octree.serialize import tree_to_bytes
 from repro.octree.tree import OccupancyOctree
 from repro.resilience.faults import FaultPlan
 from repro.resilience.recovery import ShardCheckpoint, restore_pipeline
 from repro.sensor.pointcloud import PointCloud
-from repro.sensor.raycast import compute_ray_keys
 from repro.sensor.scaninsert import (
     Observation,
     ScanBatch,
@@ -99,9 +98,6 @@ class MapBackend:
       takes the shard lock, so ingest and queries serialise per shard.
     - ``query_keys_in_shard(shard_id, keys, tenant=0)``: log-odds for
       keys the caller routed itself (the tenant layer's salted routers).
-    - ``_values_along(keys)``: what :meth:`cast_ray` walks — lazy where
-      a query is a function call (nothing is read behind the first
-      hit), one batch per shard where it would be a round trip.
     - ``_box_in_shard(shard_id, min_key, max_key)``: occupied keys in an
       inclusive key box, any order; ``_shard_leaves(shard_id, tenant)``:
       one slot's authoritative answers as ``(keys, values)`` leaf arrays.
@@ -286,21 +282,25 @@ class MapBackend:
         keys: Sequence[VoxelKey],
         tenant: int = 0,
         router: Optional[ShardRouter] = None,
-    ) -> Dict[VoxelKey, Optional[float]]:
-        """Point-query many keys with one batched read per shard.
+    ) -> List[Optional[float]]:
+        """Point-query many keys with one batched read per shard; the
+        answers come back in the order of ``keys``.
 
         ``tenant``/``router`` read a hosted tenant's map instead of the
         default one: the tenant layer places voxels with per-tenant
         salted routers, so its keys must be routed with *its* router.
         """
         router = router or self.router
-        by_shard: Dict[int, List[VoxelKey]] = {}
-        for key in keys:
-            by_shard.setdefault(router.shard_of(key), []).append(key)
-        answers: Dict[VoxelKey, Optional[float]] = {}
-        for shard_id, shard_keys in by_shard.items():
-            values = self.query_keys_in_shard(shard_id, shard_keys, tenant)
-            answers.update(zip(shard_keys, values))
+        by_shard: Dict[int, List[int]] = {}
+        for index, key in enumerate(keys):
+            by_shard.setdefault(router.shard_of(key), []).append(index)
+        answers: List[Optional[float]] = [None] * len(keys)
+        for shard_id, indices in by_shard.items():
+            values = self.query_keys_in_shard(
+                shard_id, [keys[index] for index in indices], tenant
+            )
+            for index, value in zip(indices, values):
+                answers[index] = value
         return answers
 
     def query_key(self, key: VoxelKey) -> Optional[float]:
@@ -327,17 +327,29 @@ class MapBackend:
     ) -> RayHit:
         """Walk the sharded map along a ray (OctoMap's ``castRay``).
 
-        Each visited voxel is answered through the consistent per-shard
-        cache-then-octree read, so planners see exactly what a serially
-        built map would show — including voxels still resident in a shard
-        cache.  The walk may cross shard boundaries; the range is clamped
-        to the map boundary (:func:`~repro.octree.rayquery.clamped_endpoint`).
+        :func:`~repro.octree.rayquery.walk_ray` over this map: the voxels
+        the serial ``cast_ray`` reads, answered through the consistent
+        per-shard cache-then-octree read, so planners see exactly what a
+        serially built map would show — including voxels still resident
+        in a shard cache.
         """
-        endpoint = clamped_endpoint(self, origin, direction, max_range)
-        # Both ends included: the origin's voxel first, the endpoint's last.
-        keys = compute_ray_keys(origin, endpoint, self.resolution, self.depth)
-        keys.append(self._key_of(endpoint))
-        return first_hit(self, keys, self._values_along(keys), ignore_unknown)
+        return walk_ray(
+            self, self._ray_values, origin, direction, max_range, ignore_unknown
+        )
+
+    def _ray_values(self, keys: List[VoxelKey]) -> Iterator[Optional[float]]:
+        """A ray's log-odds, near to far, fetched as the walk consumes
+        them: :meth:`query_keys` on the first 16 voxels, then 32, 64, … —
+        one batched read per shard per chunk.  A walk that ends at a near
+        hit leaves the far voxels unread; one that runs its whole range
+        costs a few batches, not a read (a pipe round trip, on the process
+        transport) per voxel.
+        """
+        start, size = 0, 16
+        while start < len(keys):
+            yield from self.query_keys(keys[start : start + size])
+            start += size
+            size *= 2
 
     def occupied_in_box(self, min_coord: Coord, max_coord: Coord) -> List[VoxelKey]:
         """Occupied finest-level keys inside an inclusive metric box.
@@ -553,10 +565,6 @@ class ShardedMap(MapBackend):
         with self._locks[shard_id]:
             shard = self._slots.get(shard_id, tenant)
             return [shard.query_key(key) for key in keys]
-
-    def _values_along(self, keys: List[VoxelKey]) -> Iterable[Optional[float]]:
-        # Lazy: a walk that stops at its first hit queries nothing more.
-        return map(self.query_key, keys)
 
     def _box_in_shard(
         self, shard_id: int, min_key: VoxelKey, max_key: VoxelKey

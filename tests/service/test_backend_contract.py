@@ -15,9 +15,10 @@ import pytest
 
 from repro.core.config import CacheConfig
 from repro.mp.backend import ProcessShardedMap
+from repro.octree import rayquery
 from repro.octree.serialize import tree_to_bytes
 from repro.sensor.pointcloud import PointCloud
-from repro.sensor.scaninsert import trace_scan
+from repro.sensor.scaninsert import ScanBatch, trace_scan
 from repro.service.sharded_map import ShardedMap
 
 RES = 0.2
@@ -126,6 +127,23 @@ class TestCastRay:
         with pytest.raises(ValueError, match="non-zero"):
             backend.cast_ray((0.0, 0.0, 1.0), (0.0, 0.0, 0.0), 4.0)
 
+    def test_answers_as_the_serial_walk_over_its_snapshot(self, backend):
+        """Sharded = serial, field for field, with cells still in the caches."""
+        assert backend.resident_voxels() > 0
+        snapshot = backend.snapshot()
+        rng = np.random.default_rng(23)
+        origins = rng.uniform((-1.0, -2.0, 0.2), (2.5, 2.0, 2.0), (500, 3)).tolist()
+        directions = rng.normal(size=(500, 3)).tolist()
+        outcomes = set()
+        for origin, direction in zip(origins, directions):
+            for ignore_unknown in (True, False):
+                hit = backend.cast_ray(origin, direction, 3.0, ignore_unknown)
+                assert hit == rayquery.cast_ray(
+                    snapshot, origin, direction, 3.0, ignore_unknown
+                )
+                outcomes.add((hit.hit, hit.blocked_by_unknown))
+        assert len(outcomes) == 3
+
 
 class TestOccupiedInBox:
     def test_cached_free_voxel_is_excluded(self, backend, reference):
@@ -171,7 +189,7 @@ class TestSnapshots:
         snapshot = backend.snapshot()
         keys = sorted({key for key, _occupied in wall_scan(0).observations})[:50]
         assert keys
-        for key, value in backend.query_keys(keys).items():
+        for key, value in zip(keys, backend.query_keys(keys)):
             assert snapshot.search(key) == value
 
 
@@ -194,6 +212,18 @@ class TestIntrospection:
             for counter in ("hits", "misses", "evictions", "resident_voxels"):
                 assert stats["cache"][counter] == expected["cache"][counter]
             assert stats["memory"] == expected["memory"]
+
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_a_slot_counts_its_slices_and_keeps_no_records(self, name):
+        """A slot lives as long as the service: one ``BatchRecord`` kept
+        per applied slice would grow without bound."""
+        part = ScanBatch.coerce([((130, 130, 130), True)])
+        with BACKENDS[name](resolution=RES, depth=DEPTH, num_shards=1) as backend:
+            for _ in range(1000):
+                assert backend.apply_to_shard(0, part) >= 0.0
+            assert backend.shard_stats(0)["batches"] == 1000
+            if name == "thread":  # a worker process keeps the same table
+                assert len(backend.shards[0].batches) <= 1
 
     def test_rollups_follow_shard_stats(self, backend, reference):
         stats = [backend.shard_stats(shard) for shard in range(NUM_SHARDS)]
@@ -239,7 +269,7 @@ class TestTenantSlots:
         with build(BACKENDS[name]) as backend:
             keys = sorted({key for key, _occupied in wall_scan(7).observations})
             before = backend.query_keys(keys, tenant=TENANT)
-            assert any(value is not None for value in before.values())
+            assert any(value is not None for value in before)
             backend.finalize()
             leaves = backend.memory_breakdown(exact=True).leaf_totals()
             cells = {

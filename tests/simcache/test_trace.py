@@ -72,3 +72,19 @@ class TestInstrumentedHelpers:
         tree.update_node((1, 1, 1), True)
         assert hierarchy.accesses == tree.node_visits
         assert hierarchy.total_cycles > 0
+
+    def test_tx2_hit_ratio_of_the_recorded_corridor_trace(self):
+        """Deterministic end to end: same scan, same update trace, same
+        modeled Jetson-TX2 hierarchy, same innermost-level hit ratio."""
+        from repro.datasets.workload import load_bench_workload
+        from repro.sensor.scaninsert import trace_scan
+
+        workload = load_bench_workload(
+            "fr079_corridor", ray_scale=0.5, max_batches=1
+        )
+        tree, recorder = recorded_octree(resolution=0.3, depth=10)
+        batch = trace_scan(workload.scans[0], 0.3, 10, max_range=workload.max_range)
+        for key, occupied in batch.observations:
+            tree.update_node(key, occupied)
+        replay = replay_trace(recorder.trace[:60_000])
+        assert replay.level_hit_ratios[0] == 0.9909
