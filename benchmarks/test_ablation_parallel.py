@@ -69,7 +69,7 @@ def test_ablation_parallel_designs(benchmark, corridor, emit):
 
     # Modeled two-core timeline: faster than serial, within the bound.
     assert timeline.parallel_seconds <= timeline.serial_seconds + 1e-9
-    model = PipelineModel.from_records([])
+    model = PipelineModel([])
     gain = timeline.serial_seconds - timeline.parallel_seconds
     hideable = serial.stage_seconds.get("ray_tracing", 0.0) + serial.stage_seconds.get(
         "cache_eviction", 0.0

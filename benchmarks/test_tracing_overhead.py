@@ -4,16 +4,18 @@ The telemetry design promise (DESIGN.md / docs/observability.md): with
 tracing disabled, instrumentation costs one attribute check plus a shared
 no-op context manager per *stage* — never per voxel.  This benchmark
 pins that promise to a number: the instrumented insert path over
-pre-traced batches must stay within 1.1x of an uninstrumented twin whose
-``insert_batch``/``_process_batch`` carry no tracer calls at all.
+pre-traced batches must stay within 1.1x of an uninstrumented twin, on
+the scalar kernel (the figure suite's) and on the vector kernel (the one
+``bench/`` and the service run).
 """
 
 import time
 
 from repro.analysis.report import format_table
+from repro.baselines.interface import StageClock
 from repro.core.octocache import OctoCacheMap
 from repro.sensor.scaninsert import trace_scan
-from repro.telemetry import get_tracer
+from repro.telemetry import NULL_SPAN, get_tracer
 
 from .conftest import BENCH_DEPTH
 
@@ -21,43 +23,32 @@ RESOLUTION = 0.2
 BATCHES = 6
 REPEATS = 5
 BUDGET = 1.1
+KERNELS = ("scalar", "vector")
+
+
+class _BareClock(StageClock):
+    """The stage clock's measurement with the telemetry taken out."""
+
+    __slots__ = ()
+
+    def count(self, name, value):
+        pass
 
 
 class UninstrumentedOctoCacheMap(OctoCacheMap):
-    """The serial pipeline with every telemetry touchpoint stripped.
+    """The serial pipeline with the stage clock's telemetry stripped.
 
-    Mirrors ``OctoCacheMap._process_batch`` (and the ``insert_batch``
-    wrapper) as they stood before tracing was added: same stage
-    stopwatches, same record bookkeeping, zero tracer interaction.
+    It overrides only the clock — same stopwatch, same ledger entries, no
+    span asked of the tracer and no counter sent to it — so the stage
+    sequence it runs is ``OctoCacheMap``'s own and cannot drift from it.
+    (The one ``insert_batch`` envelope span per batch is not a stage and
+    stays in both arms.)
     """
 
     name = "OctoCache (untraced)"
 
-    def insert_batch(self, batch, record=None):
-        from repro.baselines.interface import BatchRecord
-
-        if record is None:
-            record = BatchRecord()
-        record.observations = len(batch)
-        self._process_batch(batch, record)
-        self.batches.append(record)
-        return record
-
-    def _process_batch(self, batch, record):
-        cache = self.cache
-        with self.timings.stage("cache_insertion") as watch:
-            for key, occupied in batch.observations:
-                cache.insert(key, occupied)
-        record.cache_insertion = watch.elapsed
-
-        with self.timings.stage("cache_eviction") as watch:
-            evicted = cache.evict()
-        record.cache_eviction = watch.elapsed
-        record.evicted = len(evicted)
-
-        with self.timings.stage("octree_update") as watch:
-            self._apply_evicted(evicted)
-        record.octree_update = watch.elapsed
+    def stage(self, name, record, category, **attributes):
+        return _BareClock(self, name, record, category, NULL_SPAN)
 
 
 def _insert_all(factory, batches):
@@ -77,25 +68,29 @@ def test_disabled_tracing_overhead(benchmark, corridor, emit):
         scans.append(cloud)
         if len(scans) == BATCHES:
             break
-    batches = [
-        trace_scan(
-            cloud,
-            RESOLUTION,
-            BENCH_DEPTH,
-            max_range=corridor.sensor.max_range,
-        )
-        for cloud in scans
-    ]
 
-    def instrumented():
-        return OctoCacheMap(resolution=RESOLUTION, depth=BENCH_DEPTH)
+    def measure(kernel):
+        batches = [
+            trace_scan(
+                cloud,
+                RESOLUTION,
+                BENCH_DEPTH,
+                max_range=corridor.sensor.max_range,
+                kernel=kernel,
+            )
+            for cloud in scans
+        ]
 
-    def untraced():
-        return UninstrumentedOctoCacheMap(
-            resolution=RESOLUTION, depth=BENCH_DEPTH
-        )
+        def instrumented():
+            return OctoCacheMap(
+                resolution=RESOLUTION, depth=BENCH_DEPTH, kernel=kernel
+            )
 
-    def run():
+        def untraced():
+            return UninstrumentedOctoCacheMap(
+                resolution=RESOLUTION, depth=BENCH_DEPTH, kernel=kernel
+            )
+
         # Interleave and keep the min of each: min-of-N cancels scheduler
         # noise, interleaving cancels thermal/cache drift between arms.
         traced_best, untraced_best = float("inf"), float("inf")
@@ -104,22 +99,33 @@ def test_disabled_tracing_overhead(benchmark, corridor, emit):
             traced_best = min(traced_best, _insert_all(instrumented, batches))
         return traced_best, untraced_best
 
-    traced_best, untraced_best = benchmark.pedantic(run, rounds=1, iterations=1)
-    ratio = traced_best / untraced_best
+    def run():
+        return {kernel: measure(kernel) for kernel in KERNELS}
 
+    results = benchmark.pedantic(run, rounds=1, iterations=1)
+
+    rows, over_budget = [], []
+    for kernel, (traced_best, untraced_best) in results.items():
+        ratio = traced_best / untraced_best
+        rows.append([f"{kernel}: uninstrumented", f"{untraced_best:.4f}", "1.000"])
+        rows.append(
+            [
+                f"{kernel}: instrumented, tracing off",
+                f"{traced_best:.4f}",
+                f"{ratio:.3f}",
+            ]
+        )
+        if ratio > BUDGET:
+            over_budget.append(
+                f"{kernel} kernel {ratio:.3f}x: traced {traced_best:.4f}s "
+                f"vs untraced {untraced_best:.4f}s"
+            )
     emit(
         "tracing_overhead",
-        format_table(
-            ["insert path", "best of %d (s)" % REPEATS, "ratio"],
-            [
-                ["uninstrumented", f"{untraced_best:.4f}", "1.000"],
-                ["instrumented, tracing off", f"{traced_best:.4f}", f"{ratio:.3f}"],
-            ],
-        )
+        format_table(["insert path", "best of %d (s)" % REPEATS, "ratio"], rows)
         + f"\nbudget: <= {BUDGET:.2f}x",
     )
 
-    assert ratio <= BUDGET, (
-        f"disabled tracing costs {ratio:.3f}x (> {BUDGET}x budget): "
-        f"traced {traced_best:.4f}s vs untraced {untraced_best:.4f}s"
+    assert not over_budget, (
+        f"disabled tracing costs more than the {BUDGET}x budget: {over_budget}"
     )

@@ -1,23 +1,19 @@
-"""Experiment harnesses: timing decomposition, sweeps, and report tables.
+"""Experiment harnesses: sweeps, ordering experiments, and report tables.
 
 Everything `benchmarks/` uses to regenerate the paper's tables and figures
 lives here, so experiments are runnable both under pytest-benchmark and as
 plain scripts (see ``examples/``).
 
-The sweep and ordering harnesses import the pipeline classes, which in
-turn import :mod:`repro.analysis.decomposition`; to keep that cycle
-harmless they are loaded lazily (PEP 562) rather than at package import.
+The sweep and ordering harnesses import every pipeline class, so they are
+loaded lazily (PEP 562) rather than at package import.
 """
 
-from repro.analysis.decomposition import StageTimings, Stopwatch
 from repro.analysis.report import format_ratio, format_table, series_block
 
 __all__ = [
     "ConstructionResult",
     "ORDERINGS",
     "OrderingResult",
-    "StageTimings",
-    "Stopwatch",
     "cache_size_sweep",
     "format_ratio",
     "format_table",

@@ -49,7 +49,7 @@ class ConstructionResult:
         cache_resident_peak: cache cells resident after the last batch.
         timeline: analytic serial/parallel makespans from the measured
             per-batch stage times.
-        batch_stage_times: measured per-batch stage durations (the inputs
+        batch_stage_times: the pipeline's per-batch records (the inputs
             the timeline was computed from; also consumed by the Fig-13
             timeline renderer).
     """
@@ -95,20 +95,19 @@ def run_construction(
     else:  # cache-less pipelines update the octree once per observation
         octree_voxels = sum(record.observations for record in mapping.batches)
 
-    model = PipelineModel.from_records(mapping.batches)
     return ConstructionResult(
         pipeline=mapping.name,
         dataset=dataset.name,
         resolution=resolution,
         total_seconds=mapping.total_seconds(),
         critical_seconds=mapping.critical_path_seconds(),
-        stage_seconds=mapping.timings.as_dict(),
+        stage_seconds=mapping.stage_seconds(),
         octree_nodes=mapping.octree.num_nodes,
         octree_voxels_written=octree_voxels,
         cache_hit_ratio=hit_ratio,
         cache_resident_peak=resident_peak,
-        timeline=model.simulate(),
-        batch_stage_times=model.batches,
+        timeline=PipelineModel(mapping.batches).simulate(),
+        batch_stage_times=mapping.batches,
     )
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.core.pipeline_model import StageTimes
+from repro.baselines.interface import BatchRecord
+from repro.core.pipeline_model import SERIAL_STAGES
 
 __all__ = ["render_serial_timeline", "render_parallel_timeline"]
 
@@ -30,10 +31,10 @@ def _bar(segments: Sequence[tuple], scale: float) -> str:
 
 
 def render_serial_timeline(
-    batches: Sequence[StageTimes], width: int = 72
+    batches: Sequence[BatchRecord], width: int = 72
 ) -> str:
     """One-line serial timeline: stages of every batch back to back."""
-    total = sum(batch.serial_seconds for batch in batches)
+    total = sum(batch.seconds(SERIAL_STAGES) for batch in batches)
     if total <= 0:
         return "(empty timeline)"
     scale = width / total
@@ -52,7 +53,7 @@ def render_serial_timeline(
 
 
 def render_parallel_timeline(
-    batches: Sequence[StageTimes], width: int = 72
+    batches: Sequence[BatchRecord], width: int = 72
 ) -> str:
     """Two-line timeline: thread 1 (critical path) and thread 2 (octree).
 

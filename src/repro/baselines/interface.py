@@ -9,48 +9,100 @@ written once against :class:`MappingSystem`.
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Tuple
+import time
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.decomposition import StageTimings
 from repro.kernels import validate_kernel
-from repro.telemetry import get_tracer
+from repro.telemetry import NULL_SPAN, get_tracer
 from repro.octree.key import VoxelKey
 from repro.octree.occupancy import OccupancyParams
 from repro.octree.tree import OccupancyOctree
 from repro.sensor.pointcloud import PointCloud
 from repro.sensor.scaninsert import ScanBatch, trace_scan, trace_scan_rt
 
-__all__ = ["MappingSystem", "BatchRecord"]
+__all__ = ["MappingSystem", "BatchRecord", "StageClock"]
 
 
 class BatchRecord:
-    """Per-batch stage durations, kept for pipeline modelling (Fig. 13).
+    """The stage ledger: seconds per workflow stage, plus voxel counts.
 
-    Attributes mirror the workflow stages; absent stages stay 0.0.
+    Every pipeline keeps one per batch (:attr:`MappingSystem.batches`) and
+    one running total of the same type (:attr:`MappingSystem.totals`);
+    :meth:`MappingSystem.stage` is the only clock that writes them.  The paper's
+    decompositions (Figs 6, 13, 22; Table 3) and the analytic
+    :class:`~repro.core.pipeline_model.PipelineModel` read these fields.
+    Stages a pipeline does not run stay 0.0; SkiMap and the voxel grid
+    book their index update under ``octree_update``, the slot it stands
+    in for.  Buffer dequeue is not a field: it is not separable from the
+    updater thread's blocking ``get()``.
     """
 
-    __slots__ = (
+    #: Stage names in workflow order — also the stages' span names.
+    STAGES = (
         "ray_tracing",
         "cache_insertion",
         "cache_eviction",
         "octree_update",
         "enqueue",
-        "dequeue",
-        "wait",
-        "observations",
-        "evicted",
+        "queue_wait",
+        "thread1_wait",
     )
+    __slots__ = STAGES + ("observations", "evicted", "chunks")
 
-    def __init__(self) -> None:
-        self.ray_tracing = 0.0
-        self.cache_insertion = 0.0
-        self.cache_eviction = 0.0
-        self.octree_update = 0.0
-        self.enqueue = 0.0
-        self.dequeue = 0.0
-        self.wait = 0.0
+    def __init__(self, **amounts) -> None:
+        for stage in self.STAGES:
+            setattr(self, stage, 0.0)
         self.observations = 0
         self.evicted = 0
+        #: Evicted chunks the updater thread took off the shared buffer.
+        self.chunks = 0
+        for field, amount in amounts.items():
+            setattr(self, field, amount)
+
+    def seconds(self, stages: Iterable[str] = STAGES) -> float:
+        """Sum of the named stages (default: all of them)."""
+        return sum(getattr(self, stage) for stage in stages)
+
+
+class StageClock:
+    """One open stage of one batch: span, stopwatch and ledger entry.
+
+    What :meth:`MappingSystem.stage` returns.  With tracing on, the span's
+    duration *is* the measurement; with tracing off the clock reads
+    ``perf_counter`` itself.  Either way one number reaches the batch's
+    record and the pipeline's totals.
+    """
+
+    __slots__ = ("_system", "_name", "_record", "_category", "_span", "_start")
+
+    def __init__(self, system, name, record, category, span) -> None:
+        self._system = system
+        self._name = name
+        self._record = record
+        self._category = category
+        self._span = span
+        self._start = 0.0
+
+    def __enter__(self) -> "StageClock":
+        self._span.__enter__()
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._span is NULL_SPAN:
+            elapsed = time.perf_counter() - self._start
+        else:
+            self._span.__exit__(exc_type, exc, tb)
+            elapsed = self._span.duration
+        self._system._add(self._name, self._record, elapsed)
+
+    def set(self, **attributes) -> None:
+        """Attach attributes to the stage's span."""
+        self._span.set(**attributes)
+
+    def count(self, name: str, value: float) -> None:
+        """Emit one counter increment in the stage's category."""
+        self._system.tracer.count(name, value, category=self._category)
 
 
 class MappingSystem(abc.ABC):
@@ -74,6 +126,14 @@ class MappingSystem(abc.ABC):
     #: Human-readable pipeline name, set by subclasses.
     name: str = "abstract"
 
+    #: Stages a query waits for (the critical path of Figure 13).  The
+    #: baselines answer only after the octree update; cache-backed
+    #: pipelines override this.
+    RESPONSE_STAGES: Tuple[str, ...] = ("ray_tracing", "octree_update")
+    #: Stages that keep the critical thread busy and so bound the cycle
+    #: rate: the whole batch, unless a second thread takes some of it.
+    BUSY_STAGES: Tuple[str, ...] = BatchRecord.STAGES
+
     def __init__(
         self,
         resolution: float,
@@ -90,7 +150,8 @@ class MappingSystem(abc.ABC):
         self.max_range = max_range
         self.rt = rt
         self.kernel = kernel
-        self.timings = StageTimings()
+        #: Running totals of every batch's record (same type, same fields).
+        self.totals = BatchRecord()
         #: Telemetry tracer stage spans report to.  Defaults to the
         #: process-global tracer (disabled unless someone opts in, e.g.
         #: ``repro.telemetry.tracing`` or the ``trace-bench`` CLI);
@@ -144,12 +205,11 @@ class MappingSystem(abc.ABC):
         else:
             cloud = PointCloud(points, origin)
         record = BatchRecord()
-        with self.timings.stage("ray_tracing") as watch, self.tracer.span(
-            "ray_tracing", category="sensor", points=len(cloud.points)
-        ) as span:
+        with self.stage(
+            "ray_tracing", record, "sensor", points=len(cloud.points)
+        ) as stage:
             batch = self.trace(cloud)
-            span.set(rays=batch.num_rays, observations=len(batch))
-        record.ray_tracing = watch.elapsed
+            stage.set(rays=batch.num_rays, observations=len(batch))
         return self.insert_batch(batch, record=record)
 
     def insert_batch(
@@ -166,7 +226,7 @@ class MappingSystem(abc.ABC):
         """
         if record is None:
             record = BatchRecord()
-        record.observations = len(batch)
+        self._add("observations", record, len(batch))
         if self.keep_last_batch:
             self.last_batch = batch
         with self.tracer.span(
@@ -182,6 +242,27 @@ class MappingSystem(abc.ABC):
     @abc.abstractmethod
     def _process_batch(self, batch: ScanBatch, record: BatchRecord) -> None:
         """Apply one traced batch to the map (pipeline-specific)."""
+
+    # ------------------------------------------------------------------
+    # The stage ledger: every stage of every pipeline is timed here.
+    # ------------------------------------------------------------------
+
+    def stage(
+        self, name: str, record: BatchRecord, category: str, **attributes
+    ) -> StageClock:
+        """Context manager timing one stage of ``record``'s batch.
+
+        Opens the stage's telemetry span (``name`` is both the span name
+        and the record field) and books the elapsed seconds to ``record``
+        and to :attr:`totals`.
+        """
+        span = self.tracer.span(name, category=category, **attributes)
+        return StageClock(self, name, record, category, span)
+
+    def _add(self, field: str, record: BatchRecord, amount: float) -> None:
+        """Add ``amount`` to one ledger field of ``record`` and the totals."""
+        for ledger in (record, self.totals):
+            setattr(ledger, field, getattr(ledger, field) + amount)
 
     def finalize(self) -> None:
         """Flush any buffered state into the octree (no-op by default)."""
@@ -226,38 +307,30 @@ class MappingSystem(abc.ABC):
     # Latency metrics.
     # ------------------------------------------------------------------
 
-    def critical_path_seconds(self) -> float:
-        """Time queries had to wait for, summed over all batches.
-
-        For octree-backed baselines this is ray tracing + octree update;
-        cache-backed pipelines override the stage set (queries are served
-        right after cache insertion, Figure 13).
-        """
-        return self.timings.total(("ray_tracing", "octree_update"))
-
-    def record_response_seconds(self, record: BatchRecord) -> float:
-        """One batch's query-response latency (per-cycle critical path)."""
-        return record.ray_tracing + record.octree_update
-
-    def record_busy_seconds(self, record: BatchRecord) -> float:
-        """One batch's total compute on the critical thread.
-
-        Bounds the achievable cycle rate; for single-threaded pipelines it
-        is the whole batch, for the parallel design the octree update and
-        dequeue run on thread 2 and are excluded.
-        """
-        return (
-            record.ray_tracing
-            + record.cache_insertion
-            + record.cache_eviction
-            + record.octree_update
-            + record.enqueue
-            + record.wait
-        )
+    def stage_seconds(self) -> Dict[str, float]:
+        """Seconds per stage over all batches, for the stages that ran."""
+        totals = self.totals
+        return {
+            stage: getattr(totals, stage)
+            for stage in BatchRecord.STAGES
+            if getattr(totals, stage)
+        }
 
     def total_seconds(self) -> float:
         """Total mapping-system generation time across all stages."""
-        return self.timings.total()
+        return self.totals.seconds()
+
+    def critical_path_seconds(self) -> float:
+        """Time queries had to wait for, summed over all batches."""
+        return self.totals.seconds(self.RESPONSE_STAGES)
+
+    def record_response_seconds(self, record: BatchRecord) -> float:
+        """One batch's query-response latency (per-cycle critical path)."""
+        return record.seconds(self.RESPONSE_STAGES)
+
+    def record_busy_seconds(self, record: BatchRecord) -> float:
+        """One batch's compute on the critical thread (bounds cycle rate)."""
+        return record.seconds(self.BUSY_STAGES)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -21,9 +21,7 @@ class OctoMapPipeline(MappingSystem):
 
     def _process_batch(self, batch: ScanBatch, record: BatchRecord) -> None:
         tree = self._tree
-        with self.timings.stage("octree_update") as watch, self.tracer.span(
-            "octree_update", category="octree", voxels=len(batch)
-        ):
+        with self.stage("octree_update", record, "octree", voxels=len(batch)):
             if self.kernel == "vector":
                 tree.update_batch_bulk(
                     batch.keys_array(), batch.occupied_array()
@@ -31,4 +29,3 @@ class OctoMapPipeline(MappingSystem):
             else:
                 for key, occupied in batch.observations:
                     tree.update_node(key, occupied)
-        record.octree_update = watch.elapsed

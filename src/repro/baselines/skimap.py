@@ -36,7 +36,8 @@ class SkiMapPipeline(MappingSystem):
     def _process_batch(self, batch: ScanBatch, record: BatchRecord) -> None:
         params = self.params
         index = self._index
-        with self.timings.stage("skimap_update") as watch:
+        # The skip-list update fills the octree-update slot of the ledger.
+        with self.stage("octree_update", record, "octree", voxels=len(batch)):
             for key, occupied in batch.observations:
                 x, y, z = key
                 y_list = index.get(x)
@@ -51,7 +52,6 @@ class SkiMapPipeline(MappingSystem):
                 if value is None:
                     value = params.threshold
                 z_list.insert(z, params.update(value, occupied))
-        record.octree_update = watch.elapsed  # comparable slot
 
     # ------------------------------------------------------------------
     # Query path.
@@ -66,10 +66,6 @@ class SkiMapPipeline(MappingSystem):
         if z_list is None:
             return None
         return z_list.get(key[2])
-
-    def critical_path_seconds(self) -> float:
-        """Queries wait for the full index update, like vanilla OctoMap."""
-        return self.timings.total(("ray_tracing", "skimap_update"))
 
     # ------------------------------------------------------------------
     # Introspection.

@@ -68,13 +68,13 @@ class VoxelGridPipeline(MappingSystem):
         grid = self._grid
         params = self.params
         unknown = self._UNKNOWN
-        with self.timings.stage("grid_update") as watch:
+        # The grid update fills the octree-update slot of the ledger.
+        with self.stage("octree_update", record, "octree", voxels=len(batch)):
             for key, occupied in batch.observations:
                 value = grid[key]
                 if value == unknown:
                     value = params.threshold
                 grid[key] = params.update(float(value), occupied)
-        record.octree_update = watch.elapsed  # comparable slot
 
     # ------------------------------------------------------------------
     # Query path: the octree API answered from the array.
@@ -91,10 +91,6 @@ class VoxelGridPipeline(MappingSystem):
         from repro.octree.key import coord_to_key
 
         return self.query_key(coord_to_key(coord, self.resolution, self.depth))
-
-    def critical_path_seconds(self) -> float:
-        """Queries wait for the full grid update, like vanilla OctoMap."""
-        return self.timings.total(("ray_tracing", "grid_update"))
 
     def memory_bytes(self) -> int:
         """Dense footprint: every cell, observed or not."""

@@ -7,7 +7,7 @@ from repro.core.locality import locality_cost, tree_distance
 from repro.core.morton import morton_decode3, morton_encode3, morton_sort
 from repro.core.octocache import OctoCacheMap
 from repro.core.parallel import ParallelOctoCacheMap
-from repro.core.pipeline_model import PipelineModel, StageTimes
+from repro.core.pipeline_model import PipelineModel
 
 __all__ = [
     "AdaptiveOctoCacheMap",
@@ -17,7 +17,6 @@ __all__ = [
     "OctoCacheMap",
     "ParallelOctoCacheMap",
     "PipelineModel",
-    "StageTimes",
     "VoxelCache",
     "locality_cost",
     "morton_decode3",

@@ -15,7 +15,8 @@ strawman hash cache of §4.2 (an ablation knob).
 
 from __future__ import annotations
 
-from typing import Optional
+from contextlib import contextmanager
+from typing import Iterator, Optional
 
 from repro.baselines.interface import BatchRecord, MappingSystem
 from repro.core.cache import LeafBatch, VoxelCache
@@ -31,6 +32,9 @@ class OctoCacheMap(MappingSystem):
     """OctoMap accelerated by the OctoCache voxel cache (serial design)."""
 
     name = "OctoCache"
+
+    #: Queries are served right after cache insertion (Figure 13a).
+    RESPONSE_STAGES = ("ray_tracing", "cache_insertion")
 
     def __init__(
         self,
@@ -61,13 +65,20 @@ class OctoCacheMap(MappingSystem):
     # ------------------------------------------------------------------
 
     def _process_batch(self, batch: ScanBatch, record: BatchRecord) -> None:
+        self._insert_stage(batch, record)
+        with self._eviction_stage(record):
+            evicted = self.cache.evict()
+        with self.stage("octree_update", record, "octree", voxels=len(evicted)):
+            self._apply_evicted(evicted)
+
+    def _insert_stage(self, batch: ScanBatch, record: BatchRecord) -> None:
+        """Cache insertion: fold every observation into its cell (§4.2)."""
         cache = self.cache
-        tracer = self.tracer
         stats = cache.stats
         hits_before, misses_before = stats.hits, stats.misses
-        with self.timings.stage("cache_insertion") as watch, tracer.span(
-            "cache_insertion", category="cache", observations=len(batch)
-        ) as span:
+        with self.stage(
+            "cache_insertion", record, "cache", observations=len(batch)
+        ) as stage:
             if self.kernel == "vector":
                 cache.update_batch_bulk(
                     batch.keys_array(), batch.occupied_array()
@@ -75,30 +86,23 @@ class OctoCacheMap(MappingSystem):
             else:
                 for key, occupied in batch.observations:
                     cache.insert(key, occupied)
-            span.set(
-                hits=stats.hits - hits_before,
-                misses=stats.misses - misses_before,
-            )
-        record.cache_insertion = watch.elapsed
-        tracer.count("cache.hits", stats.hits - hits_before, category="cache")
-        tracer.count(
-            "cache.misses", stats.misses - misses_before, category="cache"
-        )
+            hits = stats.hits - hits_before
+            misses = stats.misses - misses_before
+            stage.set(hits=hits, misses=misses)
+        stage.count("cache.hits", hits)
+        stage.count("cache.misses", misses)
 
-        with self.timings.stage("cache_eviction") as watch, tracer.span(
-            "cache_eviction", category="cache"
-        ) as span:
-            evicted = cache.evict()
-            span.set(evicted=len(evicted))
-        record.cache_eviction = watch.elapsed
-        record.evicted = len(evicted)
-        tracer.count("cache.evictions", len(evicted), category="cache")
-
-        with self.timings.stage("octree_update") as watch, tracer.span(
-            "octree_update", category="octree", voxels=len(evicted)
-        ):
-            self._apply_evicted(evicted)
-        record.octree_update = watch.elapsed
+    @contextmanager
+    def _eviction_stage(self, record: BatchRecord) -> Iterator[None]:
+        """Cache eviction, around whatever hands the evicted cells on."""
+        stats = self.cache.stats
+        evicted_before = stats.evicted
+        with self.stage("cache_eviction", record, "cache") as stage:
+            yield
+            evicted = stats.evicted - evicted_before
+            stage.set(evicted=evicted)
+        self._add("evicted", record, evicted)
+        stage.count("cache.evictions", evicted)
 
     def _apply_evicted(self, evicted: LeafBatch) -> None:
         """Overwrite the octree with the accumulated values of a batch."""
@@ -115,15 +119,14 @@ class OctoCacheMap(MappingSystem):
         After this the backend octree alone answers every query (used at
         the end of construction runs and before map serialisation).
         """
+        record = self.batches[-1] if self.batches else BatchRecord()
         flushed = self.cache.flush()
+        self._add("evicted", record, len(flushed))
         self.tracer.count("cache.evictions", len(flushed), category="cache")
-        with self.timings.stage("octree_update") as watch, self.tracer.span(
-            "octree_update", category="octree", voxels=len(flushed), flush=True
+        with self.stage(
+            "octree_update", record, "octree", voxels=len(flushed), flush=True
         ):
             self._apply_evicted(flushed)
-        if self.batches:
-            self.batches[-1].octree_update += watch.elapsed
-            self.batches[-1].evicted += len(flushed)
 
     # ------------------------------------------------------------------
     # Query path: cache first, octree on miss (query consistency, §4.2.1).
@@ -132,18 +135,6 @@ class OctoCacheMap(MappingSystem):
     def query_key(self, key: VoxelKey) -> Optional[float]:
         """Occupancy for ``key``: resident cache cell wins, else octree."""
         return self.cache.query(key)
-
-    # ------------------------------------------------------------------
-    # Latency metrics.
-    # ------------------------------------------------------------------
-
-    def critical_path_seconds(self) -> float:
-        """Queries wait only for ray tracing + cache insertion (Fig. 13a)."""
-        return self.timings.total(("ray_tracing", "cache_insertion"))
-
-    def record_response_seconds(self, record) -> float:
-        """Per-cycle response latency: tracing + cache insertion only."""
-        return record.ray_tracing + record.cache_insertion
 
     @property
     def hit_ratio(self) -> float:

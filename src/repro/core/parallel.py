@@ -14,8 +14,10 @@ and therefore never wait: that is the design's latency win.
 
 Note on throughput: under CPython's GIL the two threads do not overlap
 pure-Python compute, so this class reproduces the *schedule, consistency,
-and synchronisation behaviour* (including Table 3's enqueue/dequeue and
-the thread-1 waiting gap), while projected two-core throughput comes from
+and synchronisation behaviour* (including Table 3's buffer overhead —
+enqueue, per-chunk queue wait and the thread-1 waiting gap are timed;
+dequeue is not separable from the updater's blocking ``get()``), while
+projected two-core throughput comes from
 :class:`repro.core.pipeline_model.PipelineModel` fed with measured stage
 times — see DESIGN.md §1.
 """
@@ -57,6 +59,11 @@ class ParallelOctoCacheMap(OctoCacheMap):
 
     name = "OctoCache (parallel)"
 
+    #: Thread 1 also waits out the gap before cache insertion (Fig. 13b);
+    #: the octree update and the buffer residency are thread 2's.
+    RESPONSE_STAGES = ("ray_tracing", "thread1_wait", "cache_insertion")
+    BUSY_STAGES = RESPONSE_STAGES + ("cache_eviction", "enqueue")
+
     def __init__(
         self, *args, buffer_capacity: int = DEFAULT_BUFFER_CAPACITY, **kwargs
     ) -> None:
@@ -95,7 +102,8 @@ class ParallelOctoCacheMap(OctoCacheMap):
             # dequeue here.  This is the measured queue-wait the analytic
             # pipeline model's schedule is validated against.
             queue_wait = max(0.0, time.perf_counter() - enqueued_at)
-            self.timings.add("queue_wait", queue_wait)
+            self._add("queue_wait", record, queue_wait)
+            self._add("chunks", record, 1)
             self.tracer.record_span(
                 "queue_wait",
                 "parallel",
@@ -104,14 +112,10 @@ class ParallelOctoCacheMap(OctoCacheMap):
                 voxels=len(evicted),
             )
             try:
-                start = time.perf_counter()
-                with self._octree_lock, self.tracer.span(
-                    "octree_update", category="octree", voxels=len(evicted)
+                with self._octree_lock, self.stage(
+                    "octree_update", record, "octree", voxels=len(evicted)
                 ):
                     self._apply_evicted(evicted)
-                elapsed = time.perf_counter() - start
-                record.octree_update += elapsed
-                self.timings.add("octree_update", elapsed)
             except BaseException as error:  # surfaced on thread 1
                 # Publish the error under the condition so waiters blocked
                 # in _wait_octree_idle wake even though batches enqueued
@@ -156,76 +160,40 @@ class ParallelOctoCacheMap(OctoCacheMap):
             self._pending = 0
             self._pending_cv.notify_all()
 
-    def _wait_octree_idle(self) -> float:
-        """Block until no octree updates are pending; returns wait seconds.
+    def _wait_octree_idle(self) -> None:
+        """Block until no octree updates are pending.
 
         This is the paper's thread-1 "waiting gap" (Figure 13b).  Returns
         early (and then raises) when the worker died: items queued behind
         the failing batch will never be applied, so waiting on the pending
         count alone would deadlock.
         """
-        start = time.perf_counter()
         with self._pending_cv:
             while self._pending > 0 and self._worker_error is None:
                 self._pending_cv.wait()
         self._raise_worker_error()
-        return time.perf_counter() - start
 
     # ------------------------------------------------------------------
     # Update path (thread 1).
     # ------------------------------------------------------------------
 
     def _process_batch(self, batch: ScanBatch, record: BatchRecord) -> None:
-        tracer = self.tracer
-        with tracer.span("thread1_wait", category="parallel"):
-            record.wait = self._wait_octree_idle()
-        self.timings.add("thread1_wait", record.wait)
-
-        cache = self.cache
-        stats = cache.stats
-        hits_before, misses_before = stats.hits, stats.misses
-        with self.timings.stage("cache_insertion") as watch, tracer.span(
-            "cache_insertion", category="cache", observations=len(batch)
-        ) as span:
-            with self._octree_lock:  # insertion misses read the octree
-                if self.kernel == "vector":
-                    cache.update_batch_bulk(
-                        batch.keys_array(), batch.occupied_array()
-                    )
-                else:
-                    for key, occupied in batch.observations:
-                        cache.insert(key, occupied)
-            span.set(
-                hits=stats.hits - hits_before,
-                misses=stats.misses - misses_before,
-            )
-        record.cache_insertion = watch.elapsed
-        tracer.count("cache.hits", stats.hits - hits_before, category="cache")
-        tracer.count(
-            "cache.misses", stats.misses - misses_before, category="cache"
-        )
-
+        with self.stage("thread1_wait", record, "parallel"):
+            self._wait_octree_idle()
+        with self._octree_lock:  # insertion misses read the octree
+            self._insert_stage(batch, record)
         # Eviction streams bucket-aligned chunks into the shared buffer so
         # the octree updater overlaps the rest of the hand-over (§4.4).
-        with self.timings.stage("cache_eviction") as watch, tracer.span(
-            "cache_eviction", category="cache"
-        ) as span:
-            for chunk in cache.iter_evict():
-                record.evicted += len(chunk)
+        with self._eviction_stage(record):
+            for chunk in self.cache.iter_evict():
                 self._enqueue(chunk, record)
-            span.set(evicted=record.evicted)
-        record.cache_eviction = watch.elapsed
-        tracer.count("cache.evictions", record.evicted, category="cache")
 
     def _enqueue(self, evicted: LeafBatch, record: BatchRecord) -> None:
         self._ensure_worker()
         with self._pending_cv:
             self._pending += 1
-        with self.timings.stage("enqueue") as watch, self.tracer.span(
-            "enqueue", category="parallel", voxels=len(evicted)
-        ):
+        with self.stage("enqueue", record, "parallel", voxels=len(evicted)):
             self._buffer.put((evicted, record, time.perf_counter()))
-        record.enqueue += watch.elapsed
 
     def finalize(self) -> None:
         """Flush the cache, drain the octree updater, and stop the worker.
@@ -240,7 +208,7 @@ class ParallelOctoCacheMap(OctoCacheMap):
         record = self.batches[-1] if self.batches else BatchRecord()
         evicted = self.cache.flush()
         if len(evicted):
-            record.evicted += len(evicted)
+            self._add("evicted", record, len(evicted))
             self.tracer.count("cache.evictions", len(evicted), category="cache")
             self._enqueue(evicted, record)
         try:
@@ -278,30 +246,6 @@ class ParallelOctoCacheMap(OctoCacheMap):
             return self._tree.search(key)
 
     # ------------------------------------------------------------------
-    # Latency metrics.
-    # ------------------------------------------------------------------
-
-    def critical_path_seconds(self) -> float:
-        """Thread-1 time queries wait for: tracing + waiting gap + insert."""
-        return self.timings.total(
-            ("ray_tracing", "thread1_wait", "cache_insertion")
-        )
-
-    def record_response_seconds(self, record: BatchRecord) -> float:
-        """Per-cycle response latency on thread 1 (includes waiting gap)."""
-        return record.ray_tracing + record.wait + record.cache_insertion
-
-    def record_busy_seconds(self, record: BatchRecord) -> float:
-        """Thread-1 compute only; octree update runs on thread 2."""
-        return (
-            record.ray_tracing
-            + record.wait
-            + record.cache_insertion
-            + record.cache_eviction
-            + record.enqueue
-        )
-
-    # ------------------------------------------------------------------
     # Stage handoff accounting (queue wait vs. service time).
     # ------------------------------------------------------------------
 
@@ -317,19 +261,14 @@ class ParallelOctoCacheMap(OctoCacheMap):
         implies every chunk's queue wait is bounded by the preceding
         octree service backlog.
         """
-        seconds = self.timings.seconds
-        counts = self.timings.counts
-        chunks = counts.get("queue_wait", 0)
-        queue_wait = seconds.get("queue_wait", 0.0)
-        service = seconds.get("octree_update", 0.0)
+        totals = self.totals
+        chunks = totals.chunks  # one octree update per chunk
         return {
             "chunks": chunks,
-            "enqueue_seconds": seconds.get("enqueue", 0.0),
-            "queue_wait_seconds": queue_wait,
-            "service_seconds": service,
-            "thread1_wait_seconds": seconds.get("thread1_wait", 0.0),
-            "mean_queue_wait": queue_wait / chunks if chunks else 0.0,
-            "mean_service": service / counts.get("octree_update", 1)
-            if counts.get("octree_update")
-            else 0.0,
+            "enqueue_seconds": totals.enqueue,
+            "queue_wait_seconds": totals.queue_wait,
+            "service_seconds": totals.octree_update,
+            "thread1_wait_seconds": totals.thread1_wait,
+            "mean_queue_wait": totals.queue_wait / chunks if chunks else 0.0,
+            "mean_service": totals.octree_update / chunks if chunks else 0.0,
         }

@@ -9,8 +9,8 @@ by replaying the paper's own timeline (Figure 13b):
 
 - thread 1, batch *i*: ray tracing → wait for octree update of batch
   *i−1* → cache insertion → cache eviction → buffer enqueue;
-- thread 2, batch *i*: buffer dequeue → octree update, serialised after
-  batch *i−1*'s update.
+- thread 2, batch *i*: octree update, serialised after batch *i−1*'s
+  update.
 
 The paper's bound follows directly: per batch, parallelisation can save at
 most ``min(T_raytracing + T_cache_eviction, T_octree_update)``.
@@ -19,43 +19,19 @@ most ``min(T_raytracing + T_cache_eviction, T_octree_update)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Iterable, List
 
-__all__ = ["StageTimes", "PipelineModel"]
+from repro.baselines.interface import BatchRecord
 
+__all__ = ["PipelineModel", "SERIAL_STAGES"]
 
-@dataclass(frozen=True)
-class StageTimes:
-    """Measured stage durations of one update batch (seconds)."""
-
-    ray_tracing: float
-    cache_insertion: float
-    cache_eviction: float
-    octree_update: float
-    enqueue: float = 0.0
-    dequeue: float = 0.0
-
-    @classmethod
-    def from_record(cls, record) -> "StageTimes":
-        """Build from a :class:`repro.baselines.interface.BatchRecord`."""
-        return cls(
-            ray_tracing=record.ray_tracing,
-            cache_insertion=record.cache_insertion,
-            cache_eviction=record.cache_eviction,
-            octree_update=record.octree_update,
-            enqueue=record.enqueue,
-            dequeue=record.dequeue,
-        )
-
-    @property
-    def serial_seconds(self) -> float:
-        """Duration of this batch in the serial workflow."""
-        return (
-            self.ray_tracing
-            + self.cache_insertion
-            + self.cache_eviction
-            + self.octree_update
-        )
+#: The stages one batch runs back to back in the serial workflow.
+SERIAL_STAGES = (
+    "ray_tracing",
+    "cache_insertion",
+    "cache_eviction",
+    "octree_update",
+)
 
 
 @dataclass(frozen=True)
@@ -77,13 +53,9 @@ class PipelineTimeline:
 class PipelineModel:
     """Simulates the serial and two-thread OctoCache timelines."""
 
-    def __init__(self, batches: Iterable[StageTimes]) -> None:
-        self.batches: List[StageTimes] = list(batches)
-
-    @classmethod
-    def from_records(cls, records: Sequence) -> "PipelineModel":
-        """Build from the ``batches`` list any pipeline accumulates."""
-        return cls(StageTimes.from_record(record) for record in records)
+    def __init__(self, batches: Iterable[BatchRecord]) -> None:
+        #: Measured per-batch records (any pipeline's ``batches`` list).
+        self.batches: List[BatchRecord] = list(batches)
 
     def simulate(self) -> PipelineTimeline:
         """Run both timelines; returns makespans and the thread-1 wait.
@@ -92,7 +64,7 @@ class PipelineModel:
         Figure 13(b): cache insertion of batch *i* waits for the octree
         update of batch *i−1*, and thread 2 serialises octree updates.
         """
-        serial = sum(batch.serial_seconds for batch in self.batches)
+        serial = sum(batch.seconds(SERIAL_STAGES) for batch in self.batches)
         thread1 = 0.0
         octree_done = 0.0
         total_wait = 0.0
@@ -109,7 +81,7 @@ class PipelineModel:
             eviction_start = thread1
             thread1 += batch.cache_eviction + batch.enqueue
             start = max(eviction_start, octree_done)
-            octree_done = start + batch.dequeue + batch.octree_update
+            octree_done = start + batch.octree_update
         parallel = max(thread1, octree_done)
         return PipelineTimeline(
             serial_seconds=serial,

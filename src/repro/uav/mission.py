@@ -237,7 +237,7 @@ def run_mission(
                 + record.enqueue
             )
             busy_stages = max(thread1, pending_octree_seconds)
-            pending_octree_seconds = record.octree_update + record.dequeue
+            pending_octree_seconds = record.octree_update
         busy = (busy_stages + plan_seconds) * config.latency_scale
         response_latencies.append(response)
         cycle_computes.append(busy)

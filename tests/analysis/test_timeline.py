@@ -4,11 +4,11 @@ from repro.analysis.timeline import (
     render_parallel_timeline,
     render_serial_timeline,
 )
-from repro.core.pipeline_model import StageTimes
+from repro.baselines.interface import BatchRecord
 
 
 def batch(rt=1.0, ci=0.5, ce=0.25, ou=2.0):
-    return StageTimes(
+    return BatchRecord(
         ray_tracing=rt,
         cache_insertion=ci,
         cache_eviction=ce,

@@ -21,7 +21,8 @@ class TestBatchRecord:
     def test_defaults(self):
         record = BatchRecord()
         assert record.observations == 0
-        assert record.wait == 0.0
+        assert record.thread1_wait == 0.0
+        assert not hasattr(record, "dequeue")  # never timed, so not a field
         assert record.enqueue == 0.0
 
     def test_response_and_busy_defaults(self):

@@ -137,7 +137,7 @@ class TestScheduleMatchesPipelineModel:
         # must yield a consistent timeline: parallel makespan between the
         # octree-update total and the serial sum.
         mapping, _ring = traced_run(batches=4)
-        model = PipelineModel.from_records(mapping.batches)
+        model = PipelineModel(mapping.batches)
         timeline = model.simulate()
         assert timeline.parallel_seconds <= timeline.serial_seconds + 1e-9
         octree_total = sum(b.octree_update for b in model.batches)

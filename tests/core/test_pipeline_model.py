@@ -3,35 +3,34 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.pipeline_model import PipelineModel, StageTimes
+from repro.baselines.interface import BatchRecord
+from repro.core.pipeline_model import SERIAL_STAGES, PipelineModel
 
 durations = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
 
 
-def batch(rt=1.0, ci=0.5, ce=0.1, ou=2.0, enq=0.0, deq=0.0):
-    return StageTimes(
+def batch(rt=1.0, ci=0.5, ce=0.1, ou=2.0, enq=0.0):
+    return BatchRecord(
         ray_tracing=rt,
         cache_insertion=ci,
         cache_eviction=ce,
         octree_update=ou,
         enqueue=enq,
-        dequeue=deq,
     )
 
 
 class TestStageTimes:
     def test_serial_seconds(self):
-        assert batch().serial_seconds == pytest.approx(3.6)
+        assert batch().seconds(SERIAL_STAGES) == pytest.approx(3.6)
 
     def test_from_record(self):
-        from repro.baselines.interface import BatchRecord
-
+        # The model reads a pipeline's records as they are: no copy.
         record = BatchRecord()
         record.ray_tracing = 1.0
         record.octree_update = 2.0
-        times = StageTimes.from_record(record)
-        assert times.ray_tracing == 1.0
-        assert times.octree_update == 2.0
+        model = PipelineModel([record])
+        assert model.batches[0] is record
+        assert model.simulate().serial_seconds == pytest.approx(3.0)
 
 
 class TestTimeline:
